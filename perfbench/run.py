@@ -7,17 +7,19 @@ Run from the repository root; the program is imported from ``src/`` of the
 same tree.  One process and one closed-loop client: each op (one
 ``levyhedge.cli.main`` call) starts when the previous one returns, with no
 thread pool, and BLAS is held to one thread.  Ops run in rounds of one
-Merton and one variance-gamma op; rounds repeat until the op time reaches
-``--seconds`` (at least one round).  Every op passes a correctness gate
-outside its timed region, or counts as failed: ``failed`` counts ops the
-program reported as failed (non-zero exit, exception) and ops whose output
-the gate rejects; the latter also make ``correct`` false.
+Merton and one variance-gamma op (for sweep, one of each per design
+horizon); whole rounds repeat until the op time reaches ``--seconds``.
+Every op passes a correctness gate outside its timed region, or counts as
+failed: ``failed`` counts ops the program reported as failed (non-zero
+exit, exception) and ops whose output the gate rejects; the latter also
+make ``correct`` false.
 
 ``--trace 0`` prints the end-to-end metrics, measured with tracing off:
 
 * ``setup_s``: process start to the first timed op (imports, input files,
-  quote file, reference models), the median of this process and two
-  fresh processes that only set up;
+  quote file, reference models), the median of this process and six
+  fresh processes that only set up, since single set-ups a second apart
+  differ by up to 40% on a shared host;
 * ``peak_rss_mb``: peak resident memory of this process;
 * ``items_per_s``: gated work per second of op time: strategy points for
   ``sweep``, verified strikes for ``verify`` (5 Fourier/MC pairs each) and
@@ -56,7 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = BLAS_THREADS
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
 
 # exact counts that must repeat between two traced passes on one input
 EXACT_COUNT_SUFFIXES = (".calls", ".points", ".iterations")
@@ -164,13 +166,13 @@ class Runner:
 
 
 def run_untraced(runner, seconds):
+    """Whole rounds until the op time reaches ``seconds``, so that every
+    run holds the same mix of ops."""
     index = 0
-    while True:
-        for _ in range(2):
+    while index == 0 or runner.op_s < seconds:
+        for _ in range(runner.w.round_size):
             runner.op(index)
             index += 1
-        if runner.op_s >= seconds:
-            return
 
 
 def layer_values(tracer) -> dict:
@@ -195,12 +197,13 @@ def run_traced(runner):
     import spans
     tracer = spans.Tracer()
     spans.install(tracer)
-    for i in range(2):
+    ops = range(runner.w.round_size)
+    for i in ops:
         runner.op(i, tracer)
     counts = layer_values(tracer)
-    base = sum(runner.op(i) for i in range(2))
+    base = sum(runner.op(i) for i in ops)
     tracer.reset()
-    op_s = sum(runner.op(i, tracer) for i in range(2))
+    op_s = sum(runner.op(i, tracer) for i in ops)
     vals = layer_values(tracer)
     drift = [k for k in vals if k.endswith(EXACT_COUNT_SUFFIXES)
              and vals[k] != counts[k]]

@@ -1,12 +1,14 @@
 """The three benchmark workloads: seeded inputs, one op through
 ``levyhedge.cli.main`` and the correctness gate of each op.
 
-An op is one CLI call, made in-process.  Ops alternate between the Merton
-and variance-gamma benchmark families, so one round is one op of each.
-Every op draws its inputs from ``(seed, op index)`` alone.  The gates run
-outside the timed region against references that stay fixed when the
-timed path changes: adaptive ``fourier.transform`` for sweep points (the
-oracle once sweep moves to a batch engine), and for fits
+An op is one CLI call, made in-process.  Ops run in rounds: a round is
+one op of each of the Merton and variance-gamma benchmark families (for
+sweep, one of each per design horizon), so every round holds the same mix
+of op costs.  Seeded inputs come from ``(seed, op index)`` alone; the
+inputs that set an op's cost (sweep horizons, calibrate start points) are
+fixed.  The gates run outside the timed region against references that
+stay fixed when the timed path changes: adaptive ``fourier.transform`` for
+sweep points (the oracle once sweep moves to a batch engine), and for fits
 ``calibration.rmse`` plus the parameters that generated the quotes.
 Both a failure the program reports and a wrong output count the op as
 failed; only a wrong output makes the run incorrect.
@@ -35,19 +37,32 @@ QUOTE_DIR = Path(__file__).resolve().parent / "quotes"
 
 # sweep: ROADMAP item-1 gate, batch or adaptive result vs fourier.transform
 SWEEP_SPOT_TOL = 1e-9
-SWEEP_TAU = (1.0 / 365.0, 5.0)
+# tau on a fixed design, not drawn: the midpoints of three equal strata of
+# log tau over [1/365, 5] (about 0.0096, 0.117 and 1.43).  An op's cost
+# falls by up to 2.6x with tau, so drawn horizons made a run's throughput
+# depend on its seed more than on the program.
+SWEEP_TAU_RANGE = (1.0 / 365.0, 5.0)
+SWEEP_TAUS = tuple(
+    math.exp(math.log(SWEEP_TAU_RANGE[0]) + (k + 0.5) / 3.0
+             * math.log(SWEEP_TAU_RANGE[1] / SWEEP_TAU_RANGE[0]))
+    for k in range(3))
 SWEEP_LOG_ATM = 0.25            # |log chi| below which the head is plain quad
 SWEEP_LOG_RANGE = (math.log(0.3), math.log(3.0))
 # verify: the acceptance setting of criterion 4 (paths, MC seed, horizon
-# 0.05 and its moneyness grid).  The MC seed is not drawn: each of the 11
-# rows is a 3-SE test with a ~0.3% false-alarm rate, so drawn seeds would
-# fail one op in a hundred or so with nothing wrong in the program.
+# 0.05 and its moneyness grid).  The MC seed is not drawn: each of the 6
+# rows of an op is a 3-SE test with a ~0.3% false-alarm rate, so drawn
+# seeds would fail an op now and then with nothing wrong in the program.
 VERIFY_PATHS = 1_000_000
 VERIFY_MC_SEED = 20160420
-VERIFY_OTHER_CHIS = (0.9037, 0.95, 1.05, 1.1891)
+VERIFY_CHIS = (0.9037, 0.95, 1.0, 1.05, 1.1891)
 VERIFY_ROWS_PER_STRIKE = 5
-# calibrate: initial guess is the truth scaled by factors in e^{+-0.2}
-CAL_INIT_SPREAD = 0.2
+# calibrate: the initial guess is the truth scaled by fixed factors
+# e^{+-0.05}, alternating in sign over the parameters.  It is not drawn:
+# Nelder-Mead's evaluation count follows the start point (seeded starts in
+# e^{+-0.05} took 1494-1890 evaluations for Merton and 458-629 for VG), so
+# a drawn start made fits_per_min measure the draw.
+CAL_INIT_LOG_FACTORS = {"merton": (0.05, -0.05, 0.05, -0.05),
+                        "vg": (0.05, -0.05, 0.05)}
 CAL_RMSE_MAX = 0.1
 # criterion-9 recovery tolerances (relative)
 CAL_RECOVERY = {
@@ -100,9 +115,6 @@ def _model_section(family: str) -> str:
     return f"[model]\n{body}spot = {SPOT!r}\n"
 
 
-_STREAM_TAU = 2**31     # key of the per-run stream, above any op index
-
-
 def _op_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
@@ -111,6 +123,7 @@ class Workload:
     name = ""
     item = ""
     rate = ("", 1.0, "")        # name, scale from items per second, unit
+    round_size = len(FAMILIES)  # ops per round; op i is of FAMILIES[i % 2]
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
@@ -166,26 +179,18 @@ def parse_sweep_csv(text: str) -> List[dict]:
 
 
 class Sweep(Workload):
-    """One ``levyhedge sweep`` per op on a 13-point grid.  tau is
-    log-uniform in [1/365, 5]: the ops of each family take it from a
-    golden-ratio sequence with a seeded start, so that every run covers the
-    horizon range evenly (op cost falls with tau by up to 2x)."""
+    """One ``levyhedge sweep`` per op on a seeded 13-point grid.  A round
+    is one op per family at each of the design horizons ``SWEEP_TAUS``."""
 
     name = "sweep"
     item = "points"
     rate = ("points_per_s", 1.0, "1/s")
-
-    def __init__(self, seed: int, workdir: Path):
-        super().__init__(seed, workdir)
-        self._u0 = float(_op_rng(seed, _STREAM_TAU).random())
-        self._ref = {}
+    round_size = len(FAMILIES) * len(SWEEP_TAUS)
 
     def make(self, index: int) -> Op:
         family = FAMILIES[index % 2]
         rng = _op_rng(self.seed, index)
-        u = (self._u0 + (index // 2) * 0.6180339887498949) % 1.0
-        lt0, lt1 = (math.log(t) for t in SWEEP_TAU)
-        tau = math.exp(lt0 + u * (lt1 - lt0))
+        tau = SWEEP_TAUS[(index // 2) % len(SWEEP_TAUS)]
         chis = sweep_grid(rng)
         spot_idx = int(rng.integers(len(chis)))
         cfg = (_model_section(family)
@@ -242,9 +247,10 @@ class Sweep(Workload):
 # ---------------------------------------------------------------------------
 
 class Verify(Workload):
-    """One ``levyhedge verify`` per op at 1e6 paths: chi = 1 and one
-    seeded strike from the criterion-4 grid.  Two strikes, not three, keep
-    a round (one op per family) near 30 s on a 2-core box."""
+    """One ``levyhedge verify`` per op at 1e6 paths on one seeded strike of
+    the criterion-4 grid, chi = 1 included.  One strike, not three, keeps a
+    round (one op per family) near 13 s on a 2-core box, so that a run
+    holds several rounds."""
 
     name = "verify"
     item = "strikes"
@@ -253,7 +259,7 @@ class Verify(Workload):
     def make(self, index: int) -> Op:
         family = FAMILIES[index % 2]
         rng = _op_rng(self.seed, index)
-        chis = sorted([1.0, VERIFY_OTHER_CHIS[rng.integers(len(VERIFY_OTHER_CHIS))]])
+        chis = [VERIFY_CHIS[rng.integers(len(VERIFY_CHIS))]]
         cfg = (_model_section(family)
                + "[horizon]\nmaturity = 1.0\nvaluation_time = 0.95\n"
                + "[strikes]\nchis = " + " ".join(repr(c) for c in chis) + "\n"
@@ -307,8 +313,9 @@ def read_fit(path: str):
 
 class Calibrate(Workload):
     """One ``levyhedge calibrate`` per op on the 80 oracle-priced quotes of
-    the op's family, from the truth scaled by seeded factors in e^{+-0.2}
-    (Merton: sigma, gamma, m, delta; VG: kappa, m, delta)."""
+    the op's family, from the truth scaled by the fixed factors
+    ``CAL_INIT_LOG_FACTORS`` (Merton: sigma, gamma, m, delta; VG: kappa, m,
+    delta).  Every round repeats the same two fits."""
 
     name = "calibrate"
     item = "fits"
@@ -321,14 +328,12 @@ class Calibrate(Workload):
 
     def make(self, index: int) -> Op:
         family = FAMILIES[index % 2]
-        rng = _op_rng(self.seed, index)
         t = truth(family)
+        f = np.exp(CAL_INIT_LOG_FACTORS[family])
         if family == "merton":
-            f = np.exp(rng.uniform(-CAL_INIT_SPREAD, CAL_INIT_SPREAD, 4))
             init = {"init_sigma": t.sigma * f[0], "init_gamma": t.gamma * f[1],
                     "init_m": t.m * f[2], "init_delta": t.delta * f[3]}
         else:
-            f = np.exp(rng.uniform(-CAL_INIT_SPREAD, CAL_INIT_SPREAD, 3))
             kappa, m, delta = vg_to_kappa(t)
             init = {"init_kappa": kappa * f[0], "init_m": m * f[1],
                     "init_delta": delta * f[2]}
