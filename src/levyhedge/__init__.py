@@ -1,6 +1,7 @@
 """Locally risk-minimizing and delta hedging strategies for exponential
-Levy models, with Fourier/FFT evaluation, model-independent error bounds,
-Monte Carlo cross-validation, and quote calibration."""
+Levy models, with damped Fourier transforms evaluated by adaptive
+quadrature, model-independent error bounds, Monte Carlo cross-validation,
+and quote calibration."""
 
 from .levy_core import (
     AccuracyError,
@@ -23,13 +24,9 @@ from .models import (
     MertonParams,
     VgParams,
     merton_c2_minus,
-    merton_cumulant_mmm,
     merton_model,
-    merton_nu_density,
-    vg_cumulant_mmm,
     vg_from_kappa,
     vg_model,
-    vg_nu_density,
     vg_to_kappa,
 )
 from .fourier import (

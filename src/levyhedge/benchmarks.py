@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .levy_core import LevyModel, ZeroMeasure, compute_mu_s, c2_split
-from .models import MertonParams, VgParams, merton_model
+from .levy_core import LevyModel, ZeroMeasure
+from .models import MertonParams, VgParams, _mu_for_mu_s
 
 __all__ = [
     "SPOT",
@@ -45,12 +45,7 @@ def merton_mu_for_mu_s(target_mu_s: float = None) -> float:
     default is the midpoint -(sigma^2 + C2)/2 of the admissible range."""
     probe = MertonParams(mu=0.0, sigma=_MERTON_SIGMA, gamma=_MERTON_GAMMA,
                          m=_MERTON_M, delta=_MERTON_DELTA)
-    model = merton_model(probe)
-    c2p, c2m = c2_split(model)
-    mu_s0 = compute_mu_s(model)  # mu_s at mu = 0
-    if target_mu_s is None:
-        target_mu_s = -(model.sigma**2 + c2p + c2m) / 2.0
-    return target_mu_s - mu_s0
+    return _mu_for_mu_s(probe, target_mu_s)
 
 
 def merton_benchmark() -> MertonParams:

@@ -28,13 +28,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 
 from .fourier import CharFn, FourierConfig, call_price, char_fn
-from .levy_core import AssumptionError, LevyModel, MmmModel, to_mmm
+from .levy_core import AssumptionError, MmmModel, to_mmm
 from .models import (
     MertonParams,
     VgParams,
-    merton_model,
+    build_model,
     vg_from_kappa,
-    vg_model,
     vg_to_kappa,
 )
 
@@ -251,7 +250,7 @@ class _PricingGrid:
 
 
 def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig) -> np.ndarray:
-    model = to_mmm(_build_model(params))
+    model = to_mmm(build_model(params))
     out = np.empty(len(qs.quotes))
     by_expiry: Dict[float, List[int]] = {}
     for idx, q in enumerate(qs.quotes):
@@ -261,14 +260,6 @@ def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig) -> np.ndarray:
         strikes = np.array([qs.quotes[i].strike for i in idxs])
         out[np.array(idxs)] = grid.prices(qs.spot, strikes)
     return out
-
-
-def _build_model(params: Params) -> LevyModel:
-    if isinstance(params, MertonParams):
-        return merton_model(params)
-    if isinstance(params, VgParams):
-        return vg_model(params)
-    raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
 
 def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig) -> float:
@@ -283,7 +274,7 @@ def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def constraint_report(params: Params) -> ConstraintReport:
-    model = _build_model(params)
+    model = build_model(params)
     from .levy_core import c2_split, compute_mu_s
     mu_s = compute_mu_s(model)
     c2p, c2m = c2_split(model)
@@ -346,7 +337,8 @@ def calibrate(family: str, qs: QuoteSet, init: Params,
 
     Derivative-free Nelder-Mead with one restart from the incumbent; the
     returned parameters always satisfy the structural constraints (hard
-    post-check) and the returned RMSE never exceeds the initial one.
+    post-check).  The reported RMSE is that of the returned parameters, and
+    never exceeds the objective at the start point.
     """
     cfg = cfg or FourierConfig()
     if family not in ("merton", "vg"):
@@ -390,8 +382,7 @@ def calibrate(family: str, qs: QuoteSet, init: Params,
     if not rep.ok:
         raise RuntimeError("calibration returned infeasible parameters; "
                            "projection contract broken")
-    final_rmse = min(rmse(params, qs, cfg), rmse0)
-    return CalibrationResult(params=params, rmse=final_rmse,
+    return CalibrationResult(params=params, rmse=rmse(params, qs, cfg),
                              iterations=total_iters, converged=converged,
                              constraint_report=rep)
 

@@ -2,13 +2,15 @@
 
 Three verbs, all driven by an INI-style config (key = value with sections):
 
-    levyhedge sweep     --config run.ini [--out sweep.csv] [--fft|--quadrature]
+    levyhedge sweep     --config run.ini [--out sweep.csv]
     levyhedge verify    --config run.ini [--seed N] [--paths N]
     levyhedge calibrate --quotes quotes.csv --family merton --config run.ini
 
 Exit codes: 0 success, 1 invariant/verification failure, 2 configuration
 error.  CSV output is deterministic for a fixed config and starts with a
-'#'-prefixed digest of the resolved configuration.
+'#'-prefixed digest of the resolved configuration.  Every transform is
+evaluated by adaptive quadrature; the only accepted ``[fourier] mode`` is
+``direct-quadrature``, kept so that older configs still load.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import hedging, oracle_mc
-from .fourier import FourierConfig, MODE_FFT, MODE_QUAD, char_fn
+from .fourier import FourierConfig, char_fn
 from .levy_core import (
     AssumptionError,
     LevyIntegrabilityError,
@@ -34,11 +36,9 @@ from .levy_core import (
     MmmModel,
     StripError,
     ZeroMeasure,
-    c2_split,
-    compute_mu_s,
     to_mmm,
 )
-from .models import MertonParams, VgParams, merton_model, vg_from_kappa, vg_model
+from .models import MertonParams, VgParams, _mu_for_mu_s, build_model, vg_from_kappa
 
 __all__ = ["main", "load_run_config", "verify_report", "RunConfig"]
 
@@ -70,44 +70,33 @@ class RunConfig:
         return self.maturity - self.valuation_time
 
 
-def _mu_for_mid_mu_s(build) -> float:
-    """Drift putting mu_s mid-range of its admissible interval."""
-    probe = build(0.0)
-    mu_s0 = compute_mu_s(probe)
-    c2p, c2m = c2_split(probe)
-    return -(probe.sigma**2 + c2p + c2m) / 2.0 - mu_s0
+def _read_params(section: configparser.SectionProxy, family: str,
+                 prefix: str = "") -> cal.Params:
+    """Merton or variance-gamma parameters from the keys ``<prefix><name>``
+    of one section; a Merton drift left out is put mid-range of mu_s."""
+    def get(name):
+        return section.getfloat(prefix + name)
 
-
-def _build_model(section: configparser.SectionProxy, spot: float) -> Tuple[str, LevyModel]:
-    family = section.get("family", "").strip().lower()
     if family == "merton":
-        sigma = section.getfloat("sigma")
-        gamma = section.getfloat("gamma")
-        m = section.getfloat("m")
-        delta = section.getfloat("delta")
-        if None in (sigma, gamma, m, delta):
-            raise ConfigError("merton model needs sigma, gamma, m, delta")
-
-        def build(mu):
-            return merton_model(MertonParams(mu=mu, sigma=sigma, gamma=gamma,
-                                             m=m, delta=delta), s0=spot)
-
-        mu = section.getfloat("mu")
-        if mu is None:
-            mu = _mu_for_mid_mu_s(build)
-        return family, build(mu)
+        names = ("sigma", "gamma", "m", "delta")
+        values = [get(n) for n in names]
+        if None in values:
+            raise ConfigError("merton needs " + ", ".join(prefix + n for n in names))
+        mu = get("mu")
+        params = MertonParams(0.0 if mu is None else mu, *values)
+        return params if mu is not None else replace(params, mu=_mu_for_mu_s(params))
     if family == "vg":
-        if section.get("c_par") is not None:
-            params = VgParams(c_par=section.getfloat("c_par"),
-                              g_par=section.getfloat("g_par"),
-                              m_par=section.getfloat("m_par"))
-        elif section.get("kappa") is not None:
-            params = vg_from_kappa(section.getfloat("kappa"),
-                                   section.getfloat("m"),
-                                   section.getfloat("delta"))
-        else:
-            raise ConfigError("vg model needs (c_par, g_par, m_par) or (kappa, m, delta)")
-        return family, vg_model(params, s0=spot)
+        if get("c_par") is not None:
+            return VgParams(get("c_par"), get("g_par"), get("m_par"))
+        if get("kappa") is not None:
+            return vg_from_kappa(get("kappa"), get("m"), get("delta"))
+        raise ConfigError(f"vg needs ({prefix}c_par, {prefix}g_par, {prefix}m_par) "
+                          f"or ({prefix}kappa, {prefix}m, {prefix}delta)")
+    raise ConfigError(f"unknown model family {family!r}")
+
+
+def _read_model(section: configparser.SectionProxy, spot: float) -> Tuple[str, LevyModel]:
+    family = section.get("family", "").strip().lower()
     if family == "bs":
         sigma = section.getfloat("sigma")
         if sigma is None:
@@ -116,7 +105,7 @@ def _build_model(section: configparser.SectionProxy, spot: float) -> Tuple[str, 
         if mu is None:
             mu = -0.5 * sigma * sigma
         return family, LevyModel(mu=mu, sigma=sigma, measure=ZeroMeasure(), s0=spot)
-    raise ConfigError(f"unknown model family {family!r}")
+    return family, build_model(_read_params(section, family), s0=spot)
 
 
 def _parse_chis(cp: configparser.ConfigParser, spot: float) -> Tuple[float, ...]:
@@ -140,8 +129,7 @@ def _parse_chis(cp: configparser.ConfigParser, spot: float) -> Tuple[float, ...]
     return chis
 
 
-def load_run_config(path, mode_override: Optional[str] = None,
-                    seed_override: Optional[int] = None,
+def load_run_config(path, seed_override: Optional[int] = None,
                     paths_override: Optional[int] = None,
                     out_override: Optional[str] = None) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -152,19 +140,21 @@ def load_run_config(path, mode_override: Optional[str] = None,
         if not cp.has_section("model"):
             raise ConfigError("config needs a [model] section")
         spot = cp["model"].getfloat("spot", fallback=1.0)
-        family, model = _build_model(cp["model"], spot)
+        family, model = _read_model(cp["model"], spot)
         maturity = cp.getfloat("horizon", "maturity", fallback=1.0)
         valuation = cp.getfloat("horizon", "valuation_time", fallback=0.95)
         if not (0.0 <= valuation < maturity):
             raise ConfigError("need 0 <= valuation_time < maturity")
         chis = _parse_chis(cp, spot)
         fsec = cp["fourier"] if cp.has_section("fourier") else {}
-        mode = mode_override or (fsec.get("mode", MODE_QUAD) if fsec else MODE_QUAD)
-        fourier = FourierConfig(
-            n_grid=int(fsec.get("n_grid", 2**14)) if fsec else 2**14,
-            eta=float(fsec.get("eta", 0.025)) if fsec else 0.025,
-            alpha=float(fsec.get("alpha", 1.75)) if fsec else 1.75,
-            mode=mode)
+        mode = fsec.get("mode", "direct-quadrature")
+        if mode != "direct-quadrature":
+            raise ConfigError(
+                f"[fourier] mode = {mode}: the FFT batch mode was removed; "
+                "drop the key or set it to direct-quadrature")
+        fourier = FourierConfig(n_grid=int(fsec.get("n_grid", 2**14)),
+                                eta=float(fsec.get("eta", 0.025)),
+                                alpha=float(fsec.get("alpha", 1.75)))
         n_paths = cp.getint("mc", "n_paths", fallback=1_000_000)
         seed = cp.getint("mc", "seed", fallback=0)
         out = cp.get("output", "path", fallback=None)
@@ -181,7 +171,6 @@ def load_run_config(path, mode_override: Optional[str] = None,
     for section in sorted(cp.sections()):
         for key in sorted(cp[section]):
             canon.append(f"{section}.{key}={cp[section][key]}")
-    canon.append(f"resolved.mode={fourier.mode}")
     canon.append(f"resolved.seed={seed}")
     canon.append(f"resolved.n_paths={n_paths}")
     digest = hashlib.sha256("\n".join(canon).encode()).hexdigest()
@@ -299,35 +288,10 @@ def cmd_verify(rc: RunConfig) -> int:
 def _init_params(cp: configparser.ConfigParser, family: str):
     if not cp.has_section("calibration"):
         raise ConfigError("config needs a [calibration] section with init_* keys")
-    sec = cp["calibration"]
     try:
-        if family == "merton":
-            sigma = sec.getfloat("init_sigma")
-            gamma = sec.getfloat("init_gamma")
-            m = sec.getfloat("init_m")
-            delta = sec.getfloat("init_delta")
-            if None in (sigma, gamma, m, delta):
-                raise ConfigError(
-                    "merton init needs init_sigma, init_gamma, init_m, init_delta")
-            mu = sec.getfloat("init_mu")
-            if mu is None:
-                mu = _mu_for_mid_mu_s(
-                    lambda mu_: merton_model(MertonParams(
-                        mu=mu_, sigma=sigma, gamma=gamma, m=m, delta=delta)))
-            return MertonParams(mu=mu, sigma=sigma, gamma=gamma, m=m, delta=delta)
-        if family == "vg":
-            if sec.get("init_c_par") is not None:
-                return VgParams(c_par=sec.getfloat("init_c_par"),
-                                g_par=sec.getfloat("init_g_par"),
-                                m_par=sec.getfloat("init_m_par"))
-            if sec.get("init_kappa") is not None:
-                return vg_from_kappa(sec.getfloat("init_kappa"),
-                                     sec.getfloat("init_m"),
-                                     sec.getfloat("init_delta"))
-            raise ConfigError("vg init needs init_c_par/g_par/m_par or kappa form")
+        return _read_params(cp["calibration"], family, prefix="init_")
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown calibration family {family!r}")
 
 
 def cmd_calibrate(config_path, quotes_path, family: str,
@@ -366,10 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="strategy/bound sweep over a strike grid")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--fft", action="store_true", help="FFT batch mode")
-    g.add_argument("--quadrature", action="store_true",
-                   help="per-point adaptive quadrature (default)")
 
     vp = sub.add_parser("verify", help="Fourier vs Monte Carlo cross-check")
     vp.add_argument("--config", required=True)
@@ -388,9 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            mode = MODE_FFT if args.fft else (MODE_QUAD if args.quadrature else None)
-            rc = load_run_config(args.config, mode_override=mode,
-                                 out_override=args.out)
+            rc = load_run_config(args.config, out_override=args.out)
             return cmd_sweep(rc, rc.out)
         if args.command == "verify":
             rc = load_run_config(args.config, seed_override=args.seed,

@@ -6,10 +6,10 @@ Every quantity here is an integral of the form
     k = log(moneyness),
 
 where psi carries the MMM characteristic function phi_tau(v - i*alpha) and a
-kind-specific rational factor.  Two evaluation modes share one architecture:
+kind-specific rational factor.  Each transform is evaluated per moneyness
+by adaptive quadrature, in two parts:
 
-* a "head" over [0, v_max] (v_max = n_grid * eta): adaptive quadrature per
-  point, or one Simpson-weighted FFT pass for a whole strike grid;
+* a "head" over [0, v_max] (v_max = n_grid * eta);
 * an analytic "tail" beyond v_max.  Diffusive models (sigma > 0) decay like
   a Gaussian and the head is simply extended; pure-jump models decay only
   algebraically (|phi| ~ v^{-q} with q possibly < 1), so the tail integral
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -42,7 +42,6 @@ __all__ = [
     "ConditionIntegral",
     "char_fn",
     "transform",
-    "batch",
     "i1",
     "i2",
     "tail_upper",
@@ -50,9 +49,6 @@ __all__ = [
     "call_price",
     "theorem4_condition_integral",
 ]
-
-MODE_QUAD = "direct-quadrature"
-MODE_FFT = "fft-batch"
 
 # |k| above which the head quadrature switches to oscillatory (QAWO) rules
 _OSC_THRESHOLD = 0.25
@@ -63,16 +59,15 @@ _CLAMP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FourierConfig:
-    """Discretization parameters shared by both evaluation modes.
+    """Discretization parameters of the transforms.
 
-    n_grid/eta fix the FFT grid and the head truncation v_max = n_grid*eta;
-    alpha is the damping exponent in (1, 2].
+    n_grid/eta fix the head truncation v_max = n_grid*eta; alpha is the
+    damping exponent in (1, 2].
     """
 
     n_grid: int = 2**14
     eta: float = 0.025
     alpha: float = 1.75
-    mode: str = MODE_QUAD
     epsabs: float = 1e-12
     epsrel: float = 1e-9
     accuracy_limit: float = 1e-5
@@ -84,8 +79,6 @@ class FourierConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not (1.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.mode not in (MODE_QUAD, MODE_FFT):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def v_max(self) -> float:
@@ -168,13 +161,6 @@ class ConditionIntegral:
 # psi factories and prefactors per transform kind
 # ---------------------------------------------------------------------------
 
-def _check_alpha_line(phi: CharFn, alpha: float) -> None:
-    lo, hi = phi.strip_im
-    if not (lo < -alpha < hi):
-        raise StripError(
-            f"damping line Im(z) = -{alpha} outside the strip ({lo}, {hi})")
-
-
 def _make_psi(kind: str, phi: CharFn, alpha: float, model: Optional[MmmModel],
               analytic: bool = False):
     f = phi.fn_analytic if analytic else phi.fn
@@ -251,18 +237,19 @@ def _quad(f, a, b, cfg: FourierConfig, flags: List[str], tag: str,
     return val, err
 
 
-def _head(psi, k: float, v_end: float, cfg: FourierConfig,
-          flags: List[str]) -> Tuple[float, float]:
-    """Real part of integral_0^{v_end} e^{-ivk} psi(v) dv."""
+def _segment(psi, k: float, a: float, b: float, cfg: FourierConfig,
+             flags: List[str], tag: str) -> Tuple[float, float]:
+    """Real part of integral_a^b e^{-ivk} psi(v) dv.  ``tag`` ("head" or
+    "tail") names the quadpack flag; the oscillatory (QAWO) route for
+    |k| >= _OSC_THRESHOLD appends "-osc" to it."""
     if abs(k) >= _OSC_THRESHOLD:
-        vc, ec = _quad(lambda v: psi(v).real, 0.0, v_end, cfg, flags,
-                       "head-osc", weight="cos", wvar=k)
-        vs, es = _quad(lambda v: psi(v).imag, 0.0, v_end, cfg, flags,
-                       "head-osc", weight="sin", wvar=k)
+        vc, ec = _quad(lambda v: psi(v).real, a, b, cfg, flags,
+                       tag + "-osc", weight="cos", wvar=k)
+        vs, es = _quad(lambda v: psi(v).imag, a, b, cfg, flags,
+                       tag + "-osc", weight="sin", wvar=k)
         return vc + vs, ec + es
-    val, err = _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
-                     0.0, v_end, cfg, flags, "head")
-    return val, err
+    return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
+                 a, b, cfg, flags, tag)
 
 
 def _gauss_cutoff(phi: CharFn, alpha: float) -> float:
@@ -279,8 +266,7 @@ def _tail(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
         if v2 <= v_start:
             return 0.0, 0.0
         psi = _make_psi(kind, phi, alpha, model)
-        val, err = _head_segment(psi, k, v_start, v2, cfg, flags)
-        return val, err
+        return _segment(psi, k, v_start, v2, cfg, flags, "tail")
     if phi.continuable:
         return _tail_contour(kind, phi, model, alpha, k, v_start, cfg, flags)
     # last resort: real-axis improper integral with whatever accuracy
@@ -290,17 +276,6 @@ def _tail(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
     val, err = _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
                      v_start, np.inf, cfg, flags, "tail")
     return val, err
-
-
-def _head_segment(psi, k, a, b, cfg, flags) -> Tuple[float, float]:
-    if abs(k) >= _OSC_THRESHOLD:
-        vc, ec = _quad(lambda v: psi(v).real, a, b, cfg, flags,
-                       "tail-osc", weight="cos", wvar=k)
-        vs, es = _quad(lambda v: psi(v).imag, a, b, cfg, flags,
-                       "tail-osc", weight="sin", wvar=k)
-        return vc + vs, ec + es
-    return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
-                 a, b, cfg, flags, "tail")
 
 
 def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
@@ -360,7 +335,7 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
 
     k = math.log(chi)
     psi = _make_psi(kind, phi, a, model)
-    head, err_h = _head(psi, k, cfg.v_max, cfg, flags)
+    head, err_h = _segment(psi, k, 0.0, cfg.v_max, cfg, flags, "head")
     tail, err_t = _tail(kind, phi, model, a, k, cfg.v_max, cfg, flags)
     pre = _prefactor(kind, a, k)
     err = pre * (err_h + err_t)
@@ -370,70 +345,6 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
             f"accuracy limit {cfg.accuracy_limit:.3g} at chi={chi}")
     value = _clamped(kind, pre * (head + tail), err, flags)
     return FourierResult(value, err, tuple(flags))
-
-
-# ---------------------------------------------------------------------------
-# FFT batch path
-# ---------------------------------------------------------------------------
-
-class _FftGrid:
-    """One Simpson-weighted FFT pass giving the head integral on a log-strike
-    grid; exact tails are attached per requested strike."""
-
-    def __init__(self, kind: str, phi: CharFn, cfg: FourierConfig,
-                 model: Optional[MmmModel], alpha: float):
-        n, eta = cfg.n_grid, cfg.eta
-        self.kind, self.phi, self.cfg, self.model = kind, phi, cfg, model
-        self.alpha = alpha
-        self.lam = 2.0 * math.pi / (n * eta)
-        self.b = 0.5 * n * self.lam  # = pi / eta; k grid is -b + lam*u
-        psi = _make_psi(kind, phi, alpha, model)
-        v = np.arange(n + 1) * eta
-        psi_v = np.asarray(psi(v), dtype=complex)
-        # composite Simpson over [0, n*eta] with the e^{i b v_j} = (-1)^j twist
-        w = np.full(n + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[n] = 1.0
-        x = psi_v * w * (eta / 3.0) * np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-        self.head = np.fft.fft(x[:n]) + x[n]
-
-    def head_at(self, k: float) -> Tuple[complex, float, bool]:
-        """Linear interpolation of the head between grid log-strikes;
-        returns (head, interp error estimate, interpolated?)."""
-        u = (k + self.b) / self.lam
-        u0 = int(math.floor(u))
-        frac = u - u0
-        if min(frac, 1.0 - frac) < 1e-9:
-            return self.head[round(u) % len(self.head)], 0.0, False
-        h0, h1 = self.head[u0 % len(self.head)], self.head[(u0 + 1) % len(self.head)]
-        hm = self.head[(u0 - 1) % len(self.head)]
-        est = abs(h1 - 2.0 * h0 + hm) / 8.0
-        return h0 + frac * (h1 - h0), est, True
-
-    def value_at(self, chi: float) -> FourierResult:
-        flags: List[str] = ["fft"]
-        k = math.log(chi)
-        head, interp_err, interpolated = self.head_at(k)
-        if interpolated:
-            flags.append("interpolated")
-        tail, err_t = _tail(self.kind, self.phi, self.model, self.alpha, k,
-                            self.cfg.v_max, self.cfg, flags)
-        pre = _prefactor(self.kind, self.alpha, k)
-        err = pre * (interp_err + err_t) + 2e-9 * (1.0 + abs(head))
-        value = _clamped(self.kind, pre * (head.real + tail), err, flags)
-        return FourierResult(value, err, tuple(flags))
-
-
-def batch(kind: str, phi: CharFn, chis: Sequence[float], cfg: FourierConfig,
-          model: Optional[MmmModel] = None) -> List[FourierResult]:
-    """Evaluate one transform over a moneyness grid in the configured mode."""
-    if kind == "i2" and model is not None and model.measure.is_zero:
-        return [FourierResult(0.0, 0.0, ()) for _ in chis]
-    if cfg.mode == MODE_FFT:
-        _check_alpha_line(phi, cfg.alpha)
-        grid = _FftGrid(kind, phi, cfg, model, cfg.alpha)
-        return [grid.value_at(c) for c in chis]
-    return [transform(kind, phi, c, cfg, model=model) for c in chis]
 
 
 # ---------------------------------------------------------------------------

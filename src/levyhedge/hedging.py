@@ -8,7 +8,8 @@ Both strategies are functions of moneyness chi = K / S alone:
 and |LRM - Delta| admits two computable upper bounds: one tight for small
 chi (linear in chi, driven by C2- and the lower tail probability) and one
 of order 1/chi for large chi (an explicit constant involving the
-condition integral of |phi(v - 2i)|/(1+v)).
+condition integral of |phi(v - 2i)|/(1+v)).  Every point is evaluated by
+the adaptive-quadrature transforms of ``fourier``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .fourier import (
     CharFn,
     ConditionIntegral,
     FourierConfig,
-    FourierResult,
-    MODE_FFT,
-    batch,
     theorem4_condition_integral,
     transform,
 )
@@ -127,9 +125,15 @@ def bound_t4(model: MmmModel, phi: CharFn, chi: float,
     return None if const is None else const / chi
 
 
-def _assemble_point(model: MmmModel, chi: float, r1: FourierResult,
-                    r2: FourierResult, rt: FourierResult,
-                    t4_const: Optional[float]) -> StrategyPoint:
+def strategy_point(model: MmmModel, phi: CharFn, chi: float,
+                   cfg: FourierConfig,
+                   t4_const: Optional[float] = None,
+                   compute_t4: bool = True) -> StrategyPoint:
+    r1 = transform("i1", phi, chi, cfg)
+    r2 = transform("i2", phi, chi, cfg, model=model)
+    rt = transform("tail", phi, chi, cfg)
+    if t4_const is None and compute_t4:
+        t4_const = bound_t4_constant(model, phi, cfg)
     s2c2 = model.sigma**2 + model.c2
     lrm_v = (model.sigma**2 * r1.value + r2.value) / s2c2
     delta_v = r1.value
@@ -150,18 +154,6 @@ def _assemble_point(model: MmmModel, chi: float, r1: FourierResult,
                          err_est=err, flags=tuple(flags))
 
 
-def strategy_point(model: MmmModel, phi: CharFn, chi: float,
-                   cfg: FourierConfig,
-                   t4_const: Optional[float] = None,
-                   compute_t4: bool = True) -> StrategyPoint:
-    r1 = transform("i1", phi, chi, cfg)
-    r2 = transform("i2", phi, chi, cfg, model=model)
-    rt = transform("tail", phi, chi, cfg)
-    if t4_const is None and compute_t4:
-        t4_const = bound_t4_constant(model, phi, cfg)
-    return _assemble_point(model, chi, r1, r2, rt, t4_const)
-
-
 def strategy_point_for_strike(model: MmmModel, phi: CharFn, spot: float,
                               strike: float, cfg: FourierConfig) -> StrategyPoint:
     """Same record keyed by (spot, strike); depends on them only through
@@ -172,12 +164,11 @@ def strategy_point_for_strike(model: MmmModel, phi: CharFn, spot: float,
 
 
 def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
-          cfg: FourierConfig, workers: Optional[int] = None) -> List[StrategyPoint]:
-    """One StrategyPoint per moneyness, ascending; FFT mode reuses a single
-    transform pass per kind.  Per-point failures are recorded as flags, not
-    raised, so one bad point cannot sink a batch run.  The engine is pure,
-    so quadrature-mode points may be evaluated on ``workers`` threads;
-    result order always matches input order.
+          cfg: FourierConfig) -> List[StrategyPoint]:
+    """One StrategyPoint per moneyness, ascending.  The large-moneyness
+    constant is computed once per sweep, and left absent when it does not
+    exist.  Per-point failures are recorded as flags, not raised, so one bad
+    point cannot sink a batch run.
     """
     chis = [float(c) for c in chis]
     if any(c <= 0 for c in chis):
@@ -191,25 +182,15 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
     except LevyIntegrabilityError:
         t4_const = None
 
-    if cfg.mode == MODE_FFT:
-        rs1 = batch("i1", phi, chis, cfg, model=model)
-        rs2 = batch("i2", phi, chis, cfg, model=model)
-        rst = batch("tail", phi, chis, cfg, model=model)
-        return [_assemble_point(model, chi, r1, r2, rt, t4_const)
-                for chi, r1, r2, rt in zip(chis, rs1, rs2, rst)]
-
-    def one(chi: float) -> StrategyPoint:
+    points = []
+    for chi in chis:
         try:
-            return strategy_point(model, phi, chi, cfg, t4_const=t4_const)
+            points.append(strategy_point(model, phi, chi, cfg,
+                                         t4_const=t4_const, compute_t4=False))
         except Exception as exc:  # collected, not fail-fast
-            return StrategyPoint(
+            points.append(StrategyPoint(
                 chi=chi, i1=math.nan, i2=math.nan, lrm=math.nan,
                 delta=math.nan, diff=math.nan, bound_t3=math.nan,
                 bound_t4=None, err_est=math.inf,
-                flags=("error:" + type(exc).__name__, "point-violation"))
-
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, chis))
-    return [one(chi) for chi in chis]
+                flags=("error:" + type(exc).__name__, "point-violation")))
+    return points

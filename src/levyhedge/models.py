@@ -9,20 +9,13 @@ is gated behind an equality-with-quadrature test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF, vectorized
 
-from .levy_core import (
-    LevyMeasure,
-    LevyModel,
-    MmmModel,
-    StripError,
-    mmm_cumulant,
-    to_mmm,
-)
+from .levy_core import LevyMeasure, LevyModel, c2_split, compute_mu_s
 
 __all__ = [
     "MertonParams",
@@ -31,19 +24,22 @@ __all__ = [
     "VgMeasure",
     "merton_model",
     "vg_model",
-    "merton_nu_density",
-    "vg_nu_density",
+    "build_model",
     "vg_from_kappa",
     "vg_to_kappa",
     "merton_c2_minus",
-    "merton_cumulant_mmm",
-    "vg_cumulant_mmm",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Parameter records
 # ---------------------------------------------------------------------------
+
+def _as_floats(record) -> None:
+    # plain Python floats, so a record never prints as np.float64(...)
+    for f in fields(record):
+        object.__setattr__(record, f.name, float(getattr(record, f.name)))
+
 
 @dataclass(frozen=True)
 class MertonParams:
@@ -60,6 +56,7 @@ class MertonParams:
     delta: float
 
     def __post_init__(self):
+        _as_floats(self)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.gamma <= 0:
@@ -78,6 +75,7 @@ class VgParams:
     m_par: float
 
     def __post_init__(self):
+        _as_floats(self)
         if self.c_par <= 0 or self.g_par <= 0 or self.m_par <= 0:
             raise ValueError("C, G, M must all be positive")
         if self.m_par <= 4:
@@ -246,12 +244,26 @@ def vg_model(p: VgParams, sigma: float = 0.0, mu: Optional[float] = None,
     return LevyModel(mu=mu, sigma=sigma, measure=measure, s0=s0)
 
 
-def merton_nu_density(p: MertonParams, x):
-    return MertonMeasure(p.gamma, p.m, p.delta).density(x)
+def build_model(params: Union[MertonParams, VgParams],
+                s0: float = 1.0) -> LevyModel:
+    """The exponential Levy model of a Merton or variance-gamma record."""
+    if isinstance(params, MertonParams):
+        return merton_model(params, s0=s0)
+    if isinstance(params, VgParams):
+        return vg_model(params, s0=s0)
+    raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
 
-def vg_nu_density(p: VgParams, x):
-    return VgMeasure(p.c_par, p.g_par, p.m_par).density(x)
+def _mu_for_mu_s(p: MertonParams, target_mu_s: Optional[float] = None) -> float:
+    """Drift giving ``target_mu_s`` for the volatility and jumps of ``p`` (its
+    own mu is ignored).  The default target is -(sigma^2 + C2)/2, the
+    midpoint of the admissible interval 0 >= mu_s > -(sigma^2 + C2)."""
+    probe = merton_model(replace(p, mu=0.0))
+    mu_s0 = compute_mu_s(probe)  # mu_s at mu = 0; mu_s has unit slope in mu
+    if target_mu_s is None:
+        c2p, c2m = c2_split(probe)
+        target_mu_s = -(probe.sigma**2 + c2p + c2m) / 2.0
+    return target_mu_s - mu_s0
 
 
 def merton_c2_minus(p: MertonParams) -> float:
@@ -265,17 +277,3 @@ def merton_c2_minus(p: MertonParams) -> float:
     return g * (math.exp(2.0 * (d * d + m)) * ndtr(-(2.0 * d * d + m) / d)
                 - 2.0 * math.exp((d * d + 2.0 * m) / 2.0) * ndtr(-(d * d + m) / d)
                 + ndtr(-m / d))
-
-
-def merton_cumulant_mmm(p: MertonParams, z: complex) -> complex:
-    """Closed-form MMM cumulant for the Merton model (entire in z)."""
-    return mmm_cumulant(to_mmm(merton_model(p)), z)
-
-
-def vg_cumulant_mmm(p: VgParams, z: complex, sigma: float = 0.0) -> complex:
-    """Closed-form MMM cumulant for the variance-gamma model.
-
-    Valid for Im(z) in (1 - M, G); raises StripError outside.  ``sigma``
-    adds an optional Brownian component (the subordinated form has none).
-    """
-    return mmm_cumulant(to_mmm(vg_model(p, sigma=sigma)), z)

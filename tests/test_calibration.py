@@ -206,6 +206,32 @@ def test_infeasible_init_is_projected(merton_params, cfg):
     assert res.rmse < rmse(detuned, qs, cfg)
 
 
+@pytest.fixture(scope="module")
+def vg_fit(vg_params, cfg):
+    qs = synth_quotes(vg_params, cfg, n_exp=2, per_exp=5)
+    kappa, m, delta = vg_to_kappa(vg_params)
+    init = vg_from_kappa(kappa * 1.2, m, delta)
+    assert constraint_report(init).ok
+    return qs, init, calibrate("vg", qs, init, cfg, max_iter=60)
+
+
+def test_calibrate_reports_rmse_of_returned_params(vg_fit, cfg):
+    qs, init, res = vg_fit
+    assert res.rmse == rmse(res.params, qs, cfg)
+    assert res.rmse <= rmse(init, qs, cfg)
+
+
+def test_vg_fit_record_holds_plain_floats(vg_fit, tmp_path):
+    _, _, res = vg_fit
+    path = tmp_path / "vg.txt"
+    write_result(path, res)
+    text = path.read_text()
+    assert "np." not in text
+    rec = dict(line.split(" = ", 1) for line in text.splitlines())
+    for key, val in dict(vars(res.params), rmse=res.rmse).items():
+        assert float(rec[key]) == val
+
+
 def test_calibrate_validates_inputs(merton_params, vg_params, cfg):
     qs = synth_quotes(merton_params, cfg, n_exp=1, per_exp=3)
     with pytest.raises(ValueError, match="family"):

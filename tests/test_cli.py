@@ -103,7 +103,6 @@ def test_load_run_config(merton_ini):
     assert len(rc.chis) == 13
     assert rc.chis[0] == pytest.approx(1900 / 2102.4)
     assert rc.horizon == pytest.approx(0.05)
-    assert rc.fourier.mode == "direct-quadrature"
     # drift omitted from the config: filled with an admissible value
     from levyhedge import compute_mu_s
     assert compute_mu_s(rc.model) < 0
@@ -177,11 +176,19 @@ def test_sweep_vg_has_bound_t4(tmp_path):
         assert b4 != "" and float(b4) > 0
 
 
-def test_sweep_fft_flag(merton_ini, tmp_path, capsys):
-    out = tmp_path / "fft.csv"
-    assert main(["sweep", "--config", str(merton_ini), "--fft",
-                 "--out", str(out)]) == EXIT_OK
-    assert "fft" in out.read_text()
+def test_sweep_fft_flag_removed(merton_ini):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(merton_ini), "--fft"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_fourier_mode_key(tmp_path, capsys):
+    ini = tmp_path / "mode.ini"
+    ini.write_text(BS_INI + "\n[fourier]\nmode = direct-quadrature\n")
+    assert load_run_config(ini).fourier == FourierConfig()
+    ini.write_text(BS_INI + "\n[fourier]\nmode = fft-batch\n")
+    assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
+    assert "FFT batch mode was removed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from levyhedge import (
     transform,
 )
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
-from levyhedge.fourier import MODE_FFT, batch
 
 ALPHAS = (1.25, 1.5, 1.75, 2.0)
 
@@ -93,34 +90,6 @@ def test_i2_alpha_independence(merton_mmm, phi_merton, vg_mmm, phi_vg, cfg, chi)
                 for a in ALPHAS]
         scale = max(abs(np.mean(vals)), 1e-12)
         assert (max(vals) - min(vals)) / scale <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# FFT batch vs direct quadrature
-# ---------------------------------------------------------------------------
-
-def _grid_chis(cfg, offsets):
-    lam = 2.0 * math.pi / (cfg.n_grid * cfg.eta)
-    return sorted(math.exp(lam * u) for u in offsets)
-
-
-def test_fft_matches_quadrature_at_grid_strikes(
-        merton_mmm, phi_merton, vg_mmm, phi_vg, cfg):
-    fft_cfg = FourierConfig(mode=MODE_FFT)
-    chis = _grid_chis(cfg, (-7, -3, 0, 2, 9))
-    for mmm, phi in ((merton_mmm, phi_merton), (vg_mmm, phi_vg)):
-        for kind in ("i1", "i2", "tail", "price"):
-            a = batch(kind, phi, chis, fft_cfg, model=mmm)
-            b = batch(kind, phi, chis, cfg, model=mmm)
-            for ra, rb in zip(a, b):
-                assert abs(ra.value - rb.value) <= 1e-6 * max(abs(rb.value), 1e-9)
-
-
-def test_fft_off_grid_interpolation_flagged(phi_merton, cfg):
-    fft_cfg = FourierConfig(mode=MODE_FFT)
-    res = batch("i1", phi_merton, [1.0001], fft_cfg)[0]
-    assert "interpolated" in res.flags
-    assert res.err_est > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +199,6 @@ def test_fourier_config_validation():
         FourierConfig(alpha=1.0)
     with pytest.raises(ValueError):
         FourierConfig(alpha=2.5)
-    with pytest.raises(ValueError):
-        FourierConfig(mode="bogus")
     assert FourierConfig().v_max == pytest.approx(409.6)
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from levyhedge import FourierConfig, i1
+from levyhedge import hedging, i1
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
-from levyhedge.fourier import MODE_FFT
 from levyhedge.hedging import (
     bound_t3,
     bound_t4,
@@ -115,23 +114,23 @@ def test_sweep_validates_grid(vg_mmm, phi_vg, cfg):
         sweep(vg_mmm, phi_vg, [-1.0, 1.0], cfg)
 
 
-def test_sweep_fft_mode_tracks_quadrature_within_reported_error(
-        vg_mmm, phi_vg, cfg):
-    # off-grid strikes go through linear log-strike interpolation; the
-    # reported estimate has to cover the actual deviation
-    chis = benchmark_chi_grid()
-    q = sweep(vg_mmm, phi_vg, chis, cfg)
-    f = sweep(vg_mmm, phi_vg, chis, FourierConfig(mode=MODE_FFT))
-    for a, b in zip(f, q):
-        assert abs(a.delta - b.delta) <= 2.0 * a.err_est + 2e-4
-        assert "fft" in a.flags and "interpolated" in a.flags
+def test_sweep_computes_divergent_condition_integral_once(vg_mmm, cfg,
+                                                         monkeypatch):
+    # at tau = 1 day the VG condition integral is treated as divergent; the
+    # sweep learns that once and must not retry it at every point
+    from levyhedge import char_fn
+    phi = char_fn(vg_mmm, 1.0 / 365.0)
+    calls = []
+    real = hedging.theorem4_condition_integral
 
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-def test_sweep_parallel_matches_sequential(vg_mmm, phi_vg, cfg):
-    chis = benchmark_chi_grid()[::4]
-    seq = sweep(vg_mmm, phi_vg, chis, cfg)
-    par = sweep(vg_mmm, phi_vg, chis, cfg, workers=4)
-    assert par == seq
+    monkeypatch.setattr(hedging, "theorem4_condition_integral", counted)
+    points = sweep(vg_mmm, phi, [0.95, 1.0, 1.05], cfg)
+    assert len(calls) == 1
+    assert all(p.bound_t4 is None for p in points)
 
 
 def test_scale_invariance_exact(vg_mmm, phi_vg, cfg):

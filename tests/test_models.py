@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhedge import StripError, mmm_cumulant_quad
+from levyhedge import StripError, mmm_cumulant, mmm_cumulant_quad, to_mmm
 from levyhedge.models import (
+    MertonMeasure,
     MertonParams,
+    VgMeasure,
     VgParams,
     merton_c2_minus,
-    merton_cumulant_mmm,
-    merton_model,
-    merton_nu_density,
-    vg_cumulant_mmm,
     vg_from_kappa,
     vg_model,
-    vg_nu_density,
     vg_to_kappa,
 )
 
@@ -31,31 +28,39 @@ VG_C2_MINUS = 0.006988523871184045
 # densities
 # ---------------------------------------------------------------------------
 
+def merton_density(p):
+    return MertonMeasure(p.gamma, p.m, p.delta).density
+
+
+def vg_density(p):
+    return VgMeasure(p.c_par, p.g_par, p.m_par).density
+
+
 def test_merton_density_mode(merton_params):
     p = merton_params
-    assert merton_nu_density(p, p.m) == pytest.approx(
+    assert merton_density(p)(p.m) == pytest.approx(
         p.gamma / (math.sqrt(2 * math.pi) * p.delta), rel=1e-14)
 
 
 def test_merton_density_total_mass(merton_params):
     p = merton_params
-    mass = quad(lambda x: merton_nu_density(p, x), -2, 2, epsabs=1e-14)[0]
+    mass = quad(merton_density(p), -2, 2, epsabs=1e-14)[0]
     assert mass == pytest.approx(p.gamma, rel=1e-10)
 
 
 def test_vg_density_formulas(vg_params):
     p = vg_params
     x = 0.3
-    assert vg_nu_density(p, x) == pytest.approx(
+    assert vg_density(p)(x) == pytest.approx(
         p.c_par * math.exp(-p.m_par * x) / x, rel=1e-14)
     x = -0.2
-    assert vg_nu_density(p, x) == pytest.approx(
+    assert vg_density(p)(x) == pytest.approx(
         p.c_par * math.exp(-p.g_par * 0.2) / 0.2, rel=1e-14)
 
 
 def test_vg_density_rejects_origin(vg_params):
     with pytest.raises(ValueError, match="x = 0"):
-        vg_nu_density(vg_params, 0.0)
+        vg_density(vg_params)(0.0)
 
 
 def test_vg_second_moment_identity(vg_params):
@@ -63,7 +68,8 @@ def test_vg_second_moment_identity(vg_params):
     #                        = C (1/G^2 + 1/M^2), checked against quadrature
     p = vg_params
     expected = p.c_par * (1.0 / p.g_par**2 + 1.0 / p.m_par**2)
-    got = sum(quad(lambda x: x * x * vg_nu_density(p, x), a, b,
+    dens = vg_density(p)
+    got = sum(quad(lambda x: x * x * dens(x), a, b,
                    epsabs=1e-14, limit=200)[0]
               for a, b in [(-3, 0), (0, 3)])
     assert got == pytest.approx(expected, rel=1e-9)
@@ -114,7 +120,8 @@ def test_merton_c2_minus_closed_form(merton_params):
     p = merton_params
     val = merton_c2_minus(p)
     assert val == pytest.approx(MERTON_C2_MINUS, rel=1e-10)
-    oracle = quad(lambda x: (np.exp(x) - 1) ** 2 * merton_nu_density(p, x),
+    dens = merton_density(p)
+    oracle = quad(lambda x: (np.exp(x) - 1) ** 2 * dens(x),
                   -2.5, 0.0, epsabs=1e-16)[0]
     assert val == pytest.approx(oracle, rel=1e-10)
 
@@ -142,56 +149,54 @@ def test_model_c2_against_split_sum(merton_mmm):
 # closed-form cumulants vs quadrature oracle
 # ---------------------------------------------------------------------------
 
-def test_merton_cumulant_trivial_points(merton_params):
-    assert abs(merton_cumulant_mmm(merton_params, 0.0)) <= 1e-12
-    assert abs(merton_cumulant_mmm(merton_params, -1j)) <= 1e-12
+def test_merton_cumulant_trivial_points(merton_mmm):
+    assert abs(mmm_cumulant(merton_mmm, 0.0)) <= 1e-12
+    assert abs(mmm_cumulant(merton_mmm, -1j)) <= 1e-12
 
 
-def test_vg_cumulant_trivial_points(vg_params):
-    assert abs(vg_cumulant_mmm(vg_params, 0.0)) <= 1e-12
-    assert abs(vg_cumulant_mmm(vg_params, -1j)) <= 1e-12
+def test_vg_cumulant_trivial_points(vg_mmm):
+    assert abs(mmm_cumulant(vg_mmm, 0.0)) <= 1e-12
+    assert abs(mmm_cumulant(vg_mmm, -1j)) <= 1e-12
 
 
-def test_merton_cumulant_vs_quadrature(merton_params, merton_mmm):
+def test_merton_cumulant_vs_quadrature(merton_mmm):
     z = 0.7 - 1.75j
-    a = merton_cumulant_mmm(merton_params, z)
+    a = mmm_cumulant(merton_mmm, z)
     b = mmm_cumulant_quad(merton_mmm, z)
     assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def test_vg_cumulant_vs_quadrature(vg_params, vg_mmm):
+def test_vg_cumulant_vs_quadrature(vg_mmm):
     z = 1.0 - 2.0j
-    a = vg_cumulant_mmm(vg_params, z)
+    a = mmm_cumulant(vg_mmm, z)
     b = mmm_cumulant_quad(vg_mmm, z)
     assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def test_closed_vs_quadrature_random_points(merton_params, vg_params,
-                                            merton_mmm, vg_mmm, rng):
-    for params, mmm, fn in ((merton_params, merton_mmm, merton_cumulant_mmm),
-                            (vg_params, vg_mmm, vg_cumulant_mmm)):
+def test_closed_vs_quadrature_random_points(merton_mmm, vg_mmm, rng):
+    for mmm in (merton_mmm, vg_mmm):
         lo, hi = mmm.strip()
         for _ in range(20):
             z = complex(rng.uniform(-20, 20),
                         rng.uniform(max(lo, -2.0) + 0.05, 0.0))
-            a = fn(params, z)
+            a = mmm_cumulant(mmm, z)
             b = mmm_cumulant_quad(mmm, z)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def test_vg_cumulant_valid_at_two_below(vg_params):
+def test_vg_cumulant_valid_at_two_below(vg_mmm):
     # the damping line Im(z) = -2 must be inside the strip whenever M > 4
-    val = vg_cumulant_mmm(vg_params, 5.0 - 2.0j)
+    val = mmm_cumulant(vg_mmm, 5.0 - 2.0j)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
-def test_vg_cumulant_strip_error(vg_params):
+def test_vg_cumulant_strip_error(vg_params, vg_mmm):
     bad_im = -(vg_params.m_par + 2.0)
     with pytest.raises(StripError, match="strip"):
-        vg_cumulant_mmm(vg_params, 1.0 + 1j * bad_im)
+        mmm_cumulant(vg_mmm, 1.0 + 1j * bad_im)
 
 
 def test_vg_cumulant_with_diffusion(vg_params):
     # optional Brownian component keeps the martingale identity
-    val = vg_cumulant_mmm(vg_params, -1j, sigma=0.1)
+    val = mmm_cumulant(to_mmm(vg_model(vg_params, sigma=0.1)), -1j)
     assert abs(val) <= 1e-12
