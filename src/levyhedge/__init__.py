@@ -36,10 +36,6 @@ from .fourier import (
     FourierResult,
     call_price,
     char_fn,
-    i1,
-    i2,
-    tail_lower,
-    tail_upper,
     theorem4_condition_integral,
     transform,
 )

@@ -1,6 +1,7 @@
 """Calibration of Merton / variance-gamma parameters to call quotes.
 
-Model prices are MMM expectations E*[(S_T - K)^+] at zero rates.  The fit
+Model prices are MMM expectations E*[(S_T - K)^+] at zero rates, priced one
+expiry at a time on the fixed-node grid ``fourier._PricingGrid``.  The fit
 minimizes the RMSE between model and mid prices with a derivative-free
 Nelder-Mead search (restarted once) over transformed parameters, plus a
 quadratic penalty for the structural constraints:
@@ -24,11 +25,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 
-from .fourier import CharFn, FourierConfig, call_price, char_fn
-from .levy_core import AssumptionError, MmmModel, to_mmm
+from .fourier import FourierConfig, _PricingGrid
+from .levy_core import AssumptionError, to_mmm
 from .models import (
     MertonParams,
     VgParams,
@@ -44,7 +44,6 @@ __all__ = [
     "CalibrationResult",
     "read_quotes",
     "write_quotes",
-    "model_call_price",
     "rmse",
     "calibrate",
     "write_result",
@@ -151,103 +150,6 @@ def write_quotes(path, qs: QuoteSet) -> None:
 # ---------------------------------------------------------------------------
 # pricing
 # ---------------------------------------------------------------------------
-
-def model_call_price(model: MmmModel, phi: Optional[CharFn], spot: float,
-                     strike: float, expiry: float,
-                     cfg: FourierConfig) -> float:
-    """Reference call price E*[(S_T - K)^+] at zero rates."""
-    if expiry <= 0:
-        raise ValueError("expiry must be positive")
-    if phi is None:
-        phi = char_fn(model, expiry)
-    elif abs(phi.horizon - expiry) > 1e-12:
-        raise ValueError(f"characteristic function horizon {phi.horizon} "
-                         f"does not match expiry {expiry}")
-    return call_price(phi, spot, strike, cfg)
-
-
-class _PricingGrid:
-    """Vectorized call pricer for one expiry (the calibration fast path).
-
-    Head: fixed Gauss-Legendre panels over [0, v_end], one shared vector of
-    characteristic-function samples priced against all strikes at once.
-    Pure-jump models add the rotated-contour tail, likewise on a fixed
-    geometric s-grid shared across strikes.  Accuracy is a few 1e-4 in
-    price units on index-level spots, validated against model_call_price.
-    """
-
-    _GL32 = leggauss(32)
-    _GL16 = leggauss(16)
-
-    def __init__(self, model: MmmModel, expiry: float, cfg: FourierConfig):
-        self.alpha = cfg.alpha
-        phi = char_fn(model, expiry)
-        a = self.alpha
-        if model.sigma > 0.0:
-            v_end = math.sqrt(90.0 / (expiry * model.sigma**2) + a * a)
-            v_end = max(v_end, 64.0)
-            self.tail_nodes = None
-        else:
-            v_end = cfg.v_max
-        # head panels of bounded width so moderate log-strikes stay resolved
-        edges = np.arange(0.0, v_end, 24.0)
-        edges = np.append(edges, v_end)
-        xg, wg = self._GL32
-        nodes, weights = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (hi - lo) * xg + 0.5 * (lo + hi))
-            weights.append(0.5 * (hi - lo) * wg)
-        self.v = np.concatenate(nodes)
-        self.w = np.concatenate(weights)
-        self.psi = self._psi(phi.fn, self.v)
-        if model.sigma == 0.0:
-            if not phi.continuable:
-                raise NotImplementedError(
-                    "fast pricing of pure-jump models needs a closed-form "
-                    "characteristic function")
-            s_edges = [0.0]
-            s = 0.5
-            while s < 2.0e5:
-                s_edges.append(s)
-                s *= 1.6
-            xg16, wg16 = self._GL16
-            sn, sw = [], []
-            for lo, hi in zip(s_edges[:-1], s_edges[1:]):
-                sn.append(0.5 * (hi - lo) * xg16 + 0.5 * (lo + hi))
-                sw.append(0.5 * (hi - lo) * wg16)
-            self.s = np.concatenate(sn)
-            self.sw = np.concatenate(sw)
-            self.v_end = v_end
-            # contour samples for both rotation directions
-            self.psi_dn = self._psi(phi.fn_analytic, v_end - 1j * self.s)
-            self.psi_up = self._psi(phi.fn_analytic, v_end + 1j * self.s)
-            self.carrier = phi.carrier
-            self.tail_nodes = True
-
-    def _psi(self, f, v):
-        a = self.alpha
-        iv = 1j * v
-        return f(v - 1j * a) / ((a - 1.0 + iv) * (a + iv))
-
-    def prices(self, spot: float, strikes: np.ndarray) -> np.ndarray:
-        strikes = np.asarray(strikes, dtype=float)
-        k = np.log(strikes / spot)
-        osc = np.exp(-1j * np.outer(k, self.v))
-        head = (osc * (self.w * self.psi)).sum(axis=1).real
-        if self.tail_nodes is not None:
-            tail = np.empty_like(k)
-            dn = k >= self.carrier
-            if np.any(dn):
-                vz = self.v_end - 1j * self.s
-                ph = np.exp(-1j * np.outer(k[dn], vz)) * (self.sw * self.psi_dn)
-                tail[dn] = (-1j * ph.sum(axis=1)).real
-            if np.any(~dn):
-                vz = self.v_end + 1j * self.s
-                ph = np.exp(-1j * np.outer(k[~dn], vz)) * (self.sw * self.psi_up)
-                tail[~dn] = (1j * ph.sum(axis=1)).real
-            head = head + tail
-        return spot * np.exp((1.0 - self.alpha) * k) / math.pi * head
-
 
 def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig) -> np.ndarray:
     model = to_mmm(build_model(params))

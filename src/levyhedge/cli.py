@@ -28,7 +28,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import hedging, oracle_mc
-from .fourier import FourierConfig, char_fn
+from .fourier import FourierConfig, call_price, char_fn, transform
 from .levy_core import (
     AssumptionError,
     LevyIntegrabilityError,
@@ -224,14 +224,6 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
     ``phi`` is injectable so a deliberately mis-specified characteristic
     function shows up as a martingale/band failure.
     """
-    from .fourier import (
-        call_price,
-        i1 as f_i1,
-        i2 as f_i2,
-        tail_lower as f_tail_lo,
-        tail_upper as f_tail,
-    )
-
     sample = oracle_mc.simulate_log_returns(mmm, mcfg)
     rows: List[dict] = []
     eL = np.exp(sample.log_returns)
@@ -240,17 +232,18 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
                  "fourier": 1.0, "mc": float(eL.mean()), "se": se,
                  "z": (float(eL.mean()) - 1.0) / se})
     for chi in chis:
+        tu = transform("tail", phi, chi, fcfg).value
         tl = oracle_mc.tail_upper_from_sample(sample, chi)
         pairs = [
-            ("i1", f_i1(phi, chi, fcfg), oracle_mc.i1_from_sample(sample, chi)),
-            ("tail_upper", f_tail(phi, chi, fcfg), tl),
-            ("tail_lower", f_tail_lo(phi, chi, fcfg),
-             oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
+            ("i1", transform("i1", phi, chi, fcfg).value,
+             oracle_mc.i1_from_sample(sample, chi)),
+            ("tail_upper", tu, tl),
+            ("tail_lower", 1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
             ("price", call_price(phi, spot, chi * spot, fcfg) / spot,
              oracle_mc.price_from_sample(sample, chi)),
         ]
         e2 = oracle_mc.i2_from_sample(mmm, sample, chi)
-        v2 = f_i2(mmm, phi, chi, fcfg)
+        v2 = transform("i2", phi, chi, fcfg, model=mmm).value
         band2 = max(e2.se + e2.x_quad_err, 1e-15)
         pairs.append(("i2", v2, oracle_mc.McEstimate(e2.value, band2)))
         # zero-variance (all-identical) draws get the rule-of-three floor 1/n

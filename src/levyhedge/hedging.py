@@ -18,24 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fourier import (
-    CharFn,
-    ConditionIntegral,
-    FourierConfig,
-    theorem4_condition_integral,
-    transform,
-)
+from .fourier import CharFn, FourierConfig, theorem4_condition_integral, transform
 from .levy_core import DivergenceError, LevyIntegrabilityError, MmmModel, StripError
 
 __all__ = [
     "StrategyPoint",
-    "lrm",
-    "delta",
-    "bound_t3",
-    "bound_t4",
     "bound_t4_constant",
     "strategy_point",
-    "strategy_point_for_strike",
     "sweep",
 ]
 
@@ -65,35 +54,8 @@ class StrategyPoint:
         return not any(f.endswith("violation") for f in self.flags)
 
 
-def lrm(model: MmmModel, phi: CharFn, chi: float, cfg: FourierConfig) -> float:
-    """Locally risk-minimizing position in the risky asset at unit spot."""
-    v1 = transform("i1", phi, chi, cfg).value
-    v2 = transform("i2", phi, chi, cfg, model=model).value
-    return (model.sigma**2 * v1 + v2) / (model.sigma**2 + model.c2)
-
-
-def delta(phi: CharFn, chi: float, cfg: FourierConfig) -> float:
-    """Delta hedge under the MMM: the spot derivative of the call price."""
-    return transform("i1", phi, chi, cfg).value
-
-
-def bound_t3(model: MmmModel, phi: CharFn, chi: float,
-             cfg: FourierConfig) -> float:
-    """Small-moneyness bound on |LRM - Delta|:
-
-        chi * [ (1 - p_low) C2- + p_low C2+ ] / (sigma^2 + C2),
-
-    with p_low = p*((-inf, log chi]).  Linear in chi as chi -> 0.
-    """
-    res = transform("tail", phi, chi, cfg)
-    p_low = 1.0 - res.value
-    p_low = min(max(p_low, 0.0), 1.0)
-    num = (1.0 - p_low) * model.c2_minus + p_low * model.c2_plus
-    return chi * num / (model.sigma**2 + model.c2)
-
-
-def bound_t4_constant(model: MmmModel, phi: CharFn, cfg: FourierConfig,
-                      condition: Optional[ConditionIntegral] = None) -> Optional[float]:
+def bound_t4_constant(model: MmmModel, phi: CharFn,
+                      cfg: FourierConfig) -> Optional[float]:
     """Constant of the large-moneyness bound (the bound itself is const/chi):
 
         sqrt(5) / (2 pi (sigma^2 + C2)) * integral |phi(v-2i)|/(1+v) dv
@@ -102,11 +64,10 @@ def bound_t4_constant(model: MmmModel, phi: CharFn, cfg: FourierConfig,
     Returns None when the condition integral diverges (possible only for
     sigma = 0).
     """
-    if condition is None:
-        try:
-            condition = theorem4_condition_integral(phi, cfg)
-        except DivergenceError:
-            return None
+    try:
+        condition = theorem4_condition_integral(phi, cfg)
+    except DivergenceError:
+        return None
     g = model.measure.exp_moment
     try:
         brace_moment = (g(4.0, "pos") - 2.0 * g(3.0, "pos") + g(2.0, "pos")).real
@@ -118,22 +79,20 @@ def bound_t4_constant(model: MmmModel, phi: CharFn, cfg: FourierConfig,
             * condition.total * brace)
 
 
-def bound_t4(model: MmmModel, phi: CharFn, chi: float,
-             cfg: FourierConfig) -> Optional[float]:
-    """Large-moneyness bound at one point, or None when inadmissible."""
-    const = bound_t4_constant(model, phi, cfg)
-    return None if const is None else const / chi
-
-
 def strategy_point(model: MmmModel, phi: CharFn, chi: float,
                    cfg: FourierConfig,
-                   t4_const: Optional[float] = None,
-                   compute_t4: bool = True) -> StrategyPoint:
+                   t4_const: Optional[float]) -> StrategyPoint:
+    """LRM, Delta, their distance and both bounds at one moneyness; the one
+    place they are assembled.  The small-moneyness bound is
+
+        chi * [ (1 - p_low) C2- + p_low C2+ ] / (sigma^2 + C2),
+
+    with p_low = p*((-inf, log chi]); the large-moneyness bound is
+    t4_const / chi, absent when ``t4_const`` (see bound_t4_constant) is None.
+    """
     r1 = transform("i1", phi, chi, cfg)
     r2 = transform("i2", phi, chi, cfg, model=model)
     rt = transform("tail", phi, chi, cfg)
-    if t4_const is None and compute_t4:
-        t4_const = bound_t4_constant(model, phi, cfg)
     s2c2 = model.sigma**2 + model.c2
     lrm_v = (model.sigma**2 * r1.value + r2.value) / s2c2
     delta_v = r1.value
@@ -152,15 +111,6 @@ def strategy_point(model: MmmModel, phi: CharFn, chi: float,
     return StrategyPoint(chi=chi, i1=r1.value, i2=r2.value, lrm=lrm_v,
                          delta=delta_v, diff=diff, bound_t3=b3, bound_t4=b4,
                          err_est=err, flags=tuple(flags))
-
-
-def strategy_point_for_strike(model: MmmModel, phi: CharFn, spot: float,
-                              strike: float, cfg: FourierConfig) -> StrategyPoint:
-    """Same record keyed by (spot, strike); depends on them only through
-    chi = strike / spot, so scaling both by any factor changes nothing."""
-    if spot <= 0 or strike <= 0:
-        raise ValueError("spot and strike must be positive")
-    return strategy_point(model, phi, strike / spot, cfg)
 
 
 def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
@@ -185,8 +135,7 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
     points = []
     for chi in chis:
         try:
-            points.append(strategy_point(model, phi, chi, cfg,
-                                         t4_const=t4_const, compute_t4=False))
+            points.append(strategy_point(model, phi, chi, cfg, t4_const))
         except Exception as exc:  # collected, not fail-fast
             points.append(StrategyPoint(
                 chi=chi, i1=math.nan, i2=math.nan, lrm=math.nan,

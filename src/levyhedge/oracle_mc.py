@@ -37,10 +37,6 @@ __all__ = [
     "McEstimate",
     "McI2Estimate",
     "simulate_log_returns",
-    "mc_i1",
-    "mc_i2",
-    "mc_tail_upper",
-    "mc_price",
     "i1_from_sample",
     "i2_from_sample",
     "tail_upper_from_sample",
@@ -49,6 +45,8 @@ __all__ = [
 
 _GENERATOR = "numpy.random.Philox"
 _N_BATCHES = 64
+# paths per block of the I2 payoff matrix (bounds its memory, not its result)
+_I2_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -216,8 +214,7 @@ def _i2_nodes(measure, chi: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def i2_from_sample(model: MmmModel, sample: McSample, chi: float,
-                   chunk: int = 50_000) -> McI2Estimate:
+def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimate:
     """I2 estimate: outer x-integral by fixed Gauss-Legendre quadrature over
     the path-averaged payoff difference, common random numbers across nodes.
 
@@ -240,31 +237,11 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float,
     y_full = np.empty(n)
     y_half = np.empty(n)
     ex = np.exp(xs)
-    for start in range(0, n, chunk):
-        s = np.exp(L[start:start + chunk])[:, None]
+    for start in range(0, n, _I2_CHUNK):
+        s = np.exp(L[start:start + _I2_CHUNK])[:, None]
         payoff = np.maximum(s * ex[None, :] - chi, 0.0) - np.maximum(s - chi, 0.0)
-        y_full[start:start + chunk] = payoff @ coef
-        y_half[start:start + chunk] = payoff @ coef_h
+        y_full[start:start + _I2_CHUNK] = payoff @ coef
+        y_half[start:start + _I2_CHUNK] = payoff @ coef_h
     est = _mean_se(y_full)
     x_err = abs(float(y_full.mean() - y_half.mean()))
     return McI2Estimate(est.value, est.se, x_err)
-
-
-# convenience wrappers that simulate per call (deterministic in cfg.seed)
-
-def mc_i1(model: MmmModel, chi: float, cfg: McConfig) -> McEstimate:
-    return i1_from_sample(simulate_log_returns(model, cfg), chi)
-
-
-def mc_i2(model: MmmModel, chi: float, cfg: McConfig) -> McI2Estimate:
-    return i2_from_sample(model, simulate_log_returns(model, cfg), chi)
-
-
-def mc_tail_upper(model: MmmModel, chi: float, cfg: McConfig) -> McEstimate:
-    return tail_upper_from_sample(simulate_log_returns(model, cfg), chi)
-
-
-def mc_price(model: MmmModel, spot: float, strike: float,
-             cfg: McConfig) -> McEstimate:
-    est = price_from_sample(simulate_log_returns(model, cfg), strike / spot)
-    return McEstimate(spot * est.value, spot * est.se)

@@ -175,7 +175,7 @@ def test_criterion_5_small_moneyness_bound(setup):
                      for p in pts)
         ok &= margin >= 0.0
         ratios = np.array([
-            strategy_point(m, phi, 2.0 ** (-j), cfg, compute_t4=False).diff
+            strategy_point(m, phi, 2.0 ** (-j), cfg, t4_const=None).diff
             / 2.0 ** (-j) for j in range(1, 9)])
         slope = np.polyfit(np.arange(8), ratios, 1)[0]
         trend_ok = slope <= max(1e-12, 0.01 * ratios.max())
@@ -197,7 +197,7 @@ def test_criterion_6_large_moneyness_bound(setup):
         worst = 0.0
         for j in range(1, 9):
             chi = 2.0 ** j
-            pt = strategy_point(m, phi, chi, cfg, compute_t4=False)
+            pt = strategy_point(m, phi, chi, cfg, t4_const=None)
             slack = 10.0 * max(pt.err_est, 1e-15)
             ok &= pt.diff <= const / chi + slack
             worst = max(worst, chi * pt.diff)

@@ -3,7 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from levyhedge import to_mmm
+from levyhedge import call_price, char_fn, to_mmm
 from levyhedge.benchmarks import SPOT
 from levyhedge.calibration import (
     CalibrationResult,
@@ -12,7 +12,6 @@ from levyhedge.calibration import (
     _PricingGrid,
     calibrate,
     constraint_report,
-    model_call_price,
     read_quotes,
     rmse,
     write_quotes,
@@ -26,7 +25,7 @@ from levyhedge.models import (
     vg_model,
     vg_to_kappa,
 )
-from levyhedge.oracle_mc import McConfig, mc_price
+from levyhedge.oracle_mc import McConfig, price_from_sample, simulate_log_returns
 
 EXPIRIES = [30 / 365, 58 / 365, 86 / 365, 149 / 365, 240 / 365, 275 / 365,
             331 / 365]
@@ -90,18 +89,18 @@ def test_quote_validation():
 # ---------------------------------------------------------------------------
 
 def test_price_trivial_strikes(merton_mmm, cfg):
-    T = 0.25
-    lo = model_call_price(merton_mmm, None, 100.0, 1e-6, T, cfg)
+    phi = char_fn(merton_mmm, 0.25)
+    lo = call_price(phi, 100.0, 1e-6, cfg)
     assert lo == pytest.approx(100.0, abs=1e-5)
-    hi = model_call_price(merton_mmm, None, 100.0, 1e5, T, cfg)
+    hi = call_price(phi, 100.0, 1e5, cfg)
     assert hi == pytest.approx(0.0, abs=1e-8)
 
 
 def test_price_monotone_and_in_band(vg_mmm, cfg):
-    T = 0.25
+    phi = char_fn(vg_mmm, 0.25)
     prev = None
     for K in np.linspace(1700, 2600, 10):
-        p = model_call_price(vg_mmm, None, SPOT, float(K), T, cfg)
+        p = call_price(phi, SPOT, float(K), cfg)
         assert max(SPOT - K, 0.0) - 1e-6 <= p <= SPOT
         if prev is not None:
             assert p <= prev + 1e-9
@@ -111,10 +110,11 @@ def test_price_monotone_and_in_band(vg_mmm, cfg):
 def test_price_against_mc(merton_mmm, cfg):
     T = 58 / 365
     K = 2100.0
-    ref = model_call_price(merton_mmm, None, SPOT, K, T, cfg)
-    est = mc_price(merton_mmm, SPOT, K, McConfig(n_paths=400_000, seed=5,
-                                                 horizon=T))
-    assert abs(ref - est.value) <= 3.0 * est.se
+    ref = call_price(char_fn(merton_mmm, T), SPOT, K, cfg)
+    sample = simulate_log_returns(merton_mmm, McConfig(n_paths=400_000, seed=5,
+                                                       horizon=T))
+    est = price_from_sample(sample, K / SPOT)
+    assert abs(ref - SPOT * est.value) <= 3.0 * SPOT * est.se
 
 
 def test_fast_grid_matches_reference(merton_mmm, vg_mmm, cfg):
@@ -123,16 +123,10 @@ def test_fast_grid_matches_reference(merton_mmm, vg_mmm, cfg):
         for T in (30 / 365, 331 / 365):
             grid = _PricingGrid(mmm, T, cfg)
             fast = grid.prices(SPOT, strikes)
-            ref = [model_call_price(mmm, None, SPOT, float(K), T, cfg)
-                   for K in strikes]
+            phi = char_fn(mmm, T)
+            ref = [call_price(phi, SPOT, float(K), cfg) for K in strikes]
             assert np.max(np.abs(fast - np.asarray(ref))) < 1e-3
 
-
-def test_price_horizon_mismatch_raises(merton_mmm, cfg):
-    from levyhedge import char_fn
-    phi = char_fn(merton_mmm, 0.5)
-    with pytest.raises(ValueError, match="horizon"):
-        model_call_price(merton_mmm, phi, 100.0, 100.0, 0.25, cfg)
 
 
 # ---------------------------------------------------------------------------

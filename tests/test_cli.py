@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -167,13 +169,19 @@ def test_sweep_bs_diff_vanishes(bs_ini, tmp_path):
 
 
 def test_sweep_vg_has_bound_t4(tmp_path):
+    # at tau = 0.05 and at tau = 1 day, where the condition integrand decays
+    # only like v^(-0.037) but the integral is still finite
+    one_day = f"maturity = {1.0 / 365.0!r}\nvaluation_time = 0.0"
     ini = tmp_path / "vg.ini"
-    ini.write_text(VG_INI)
     out = tmp_path / "vg.csv"
-    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == EXIT_OK
-    for line in out.read_text().strip().splitlines()[2:]:
-        b4 = line.split(",")[7]
-        assert b4 != "" and float(b4) > 0
+    for text in (VG_INI, VG_INI.replace("maturity = 1.0\nvaluation_time = 0.95",
+                                        one_day)):
+        ini.write_text(text)
+        assert main(["sweep", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+        for line in out.read_text().strip().splitlines()[2:]:
+            b4, flags = line.split(",")[7:9]
+            assert b4 != "" and float(b4) > 0
+            assert "t4-violation" not in flags
 
 
 def test_sweep_fft_flag_removed(merton_ini):
@@ -200,6 +208,24 @@ def test_verify_bs(bs_ini, capsys):
     out = capsys.readouterr().out
     assert "martingale" in out
     assert "all within 3 SE" in out
+
+
+def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
+                                                       cfg, monkeypatch):
+    # the tail_lower row is 1 - tail_upper, not a second tail transform
+    from levyhedge import cli, fourier
+    counts = Counter()
+    real = fourier.transform
+
+    def counted(kind, *args, **kwargs):
+        counts[kind] += 1
+        return real(kind, *args, **kwargs)
+
+    monkeypatch.setattr(fourier, "transform", counted)
+    monkeypatch.setattr(cli, "transform", counted, raising=False)
+    verify_report(merton_mmm, phi_merton, [0.95, 1.05], cfg,
+                  McConfig(n_paths=10_000, seed=1, horizon=phi_merton.horizon))
+    assert counts == {"i1": 2, "tail": 2, "price": 2, "i2": 2}
 
 
 def test_verify_negative_control_fails(bs_mmm):

@@ -8,10 +8,6 @@ from levyhedge import (
     StripError,
     call_price,
     char_fn,
-    i1,
-    i2,
-    tail_lower,
-    tail_upper,
     theorem4_condition_integral,
     to_mmm,
     transform,
@@ -21,35 +17,39 @@ from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
 ALPHAS = (1.25, 1.5, 1.75, 2.0)
 
 
+def value(kind, phi, chi, cfg, model=None):
+    return transform(kind, phi, chi, cfg, model=model).value
+
+
 # ---------------------------------------------------------------------------
 # limits and ranges
 # ---------------------------------------------------------------------------
 
 def test_i1_limits(phi_merton, phi_vg, cfg):
     for phi in (phi_merton, phi_vg):
-        assert i1(phi, 1e-3, cfg) == pytest.approx(1.0, abs=1e-8)
-        assert i1(phi, 1e3, cfg) == pytest.approx(0.0, abs=1e-8)
+        assert value("i1", phi, 1e-3, cfg) == pytest.approx(1.0, abs=1e-8)
+        assert value("i1", phi, 1e3, cfg) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_tail_limits(phi_merton, phi_vg, cfg):
     for phi in (phi_merton, phi_vg):
-        assert tail_upper(phi, 1e-3, cfg) == pytest.approx(1.0, abs=1e-8)
-        assert tail_upper(phi, 1e3, cfg) == pytest.approx(0.0, abs=1e-8)
-        assert tail_lower(phi, 1e3, cfg) == pytest.approx(1.0, abs=1e-8)
-        assert tail_lower(phi, 1e-3, cfg) == pytest.approx(0.0, abs=1e-8)
+        assert value("tail", phi, 1e-3, cfg) == pytest.approx(1.0, abs=1e-8)
+        assert value("tail", phi, 1e3, cfg) == pytest.approx(0.0, abs=1e-8)
+        assert 1.0 - value("tail", phi, 1e3, cfg) == pytest.approx(1.0, abs=1e-8)
+        assert 1.0 - value("tail", phi, 1e-3, cfg) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_tail_complement_identity_at_1p1(phi_vg, cfg):
     # lower + upper tails from quadratures at two different damping lines
-    lo = tail_lower(phi_vg, 1.1, FourierConfig(alpha=1.25))
-    hi = tail_upper(phi_vg, 1.1, FourierConfig(alpha=2.0))
+    lo = 1.0 - value("tail", phi_vg, 1.1, FourierConfig(alpha=1.25))
+    hi = value("tail", phi_vg, 1.1, FourierConfig(alpha=2.0))
     assert lo + hi == pytest.approx(1.0, abs=1e-8)
 
 
 def test_i1_and_tail_monotone_and_bounded(phi_vg, cfg):
     chis = benchmark_chi_grid()
-    v1 = [i1(phi_vg, c, cfg) for c in chis]
-    vt = [tail_upper(phi_vg, c, cfg) for c in chis]
+    v1 = [value("i1", phi_vg, c, cfg) for c in chis]
+    vt = [value("tail", phi_vg, c, cfg) for c in chis]
     for seq in (v1, vt):
         assert all(0.0 <= v <= 1.0 for v in seq)
         assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
@@ -57,18 +57,19 @@ def test_i1_and_tail_monotone_and_bounded(phi_vg, cfg):
 
 def test_i2_zero_measure(bs_mmm, phi_bs, cfg):
     for chi in (0.5, 1.0, 2.0):
-        assert i2(bs_mmm, phi_bs, chi, cfg) == 0.0
+        assert value("i2", phi_bs, chi, cfg, model=bs_mmm) == 0.0
 
 
 def test_i2_nonnegative(vg_mmm, phi_vg, merton_mmm, phi_merton, cfg):
     for mmm, phi in ((vg_mmm, phi_vg), (merton_mmm, phi_merton)):
         for chi in benchmark_chi_grid()[::4]:
-            assert i2(mmm, phi, chi, cfg) >= 0.0
+            assert value("i2", phi, chi, cfg, model=mmm) >= 0.0
 
 
 def test_i2_small_chi_limit_is_c2(vg_mmm, phi_vg, merton_mmm, phi_merton, cfg):
     for mmm, phi in ((vg_mmm, phi_vg), (merton_mmm, phi_merton)):
-        assert i2(mmm, phi, 1e-3, cfg) == pytest.approx(mmm.c2, rel=1e-6)
+        assert value("i2", phi, 1e-3, cfg, model=mmm) == pytest.approx(mmm.c2,
+                                                                      rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,8 @@ def test_price_identity_and_bounds(vg_mmm, phi_vg, merton_mmm, phi_merton, cfg):
             strike = chi * spot
             p = call_price(phi, spot, strike, cfg)
             # partial-fraction identity against the two building blocks
-            rhs = spot * (i1(phi, chi, cfg) - chi * tail_upper(phi, chi, cfg))
+            rhs = spot * (value("i1", phi, chi, cfg)
+                          - chi * value("tail", phi, chi, cfg))
             assert p == pytest.approx(rhs, rel=1e-9, abs=1e-9 * spot)
             assert max(spot - strike, 0.0) - 1e-6 <= p <= spot
             if prev is not None:
@@ -184,6 +186,29 @@ def test_condition_integral_divergence_error(cfg):
                   horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
     with pytest.raises(DivergenceError):
         theorem4_condition_integral(flat, cfg, v_cut=1e4)
+
+
+def test_condition_integral_vg_one_day_is_finite(vg_mmm, cfg):
+    # |phi(v - 2i)| decays like v^(-2 C tau) with 2 C tau = 0.037: slow but
+    # integrable, so the power-law tail estimate must close the integral
+    phi = char_fn(vg_mmm, 1.0 / 365.0)
+    res = theorem4_condition_integral(phi, cfg)
+    far = theorem4_condition_integral(phi, cfg, v_cut=1e12)
+    assert type(res.tail_estimate) is float
+    assert res.total == pytest.approx(far.total, rel=1e-8)
+    assert res.total == pytest.approx(30.3156, rel=1e-5)
+
+
+def test_condition_integral_drifting_decay_diverges(cfg):
+    # no decay at all (an atom), and a decay power that keeps falling
+    # (1/log v: the power fitted per decade never settles)
+    flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
+                  horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
+    slow = CharFn(fn=lambda z: 1.0 / np.log(np.e + np.abs(z)),
+                  horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
+    for phi in (flat, slow):
+        with pytest.raises(DivergenceError):
+            theorem4_condition_integral(phi, cfg)
 
 
 # ---------------------------------------------------------------------------

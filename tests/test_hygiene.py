@@ -1,0 +1,67 @@
+"""Source hygiene checks that need only the standard library: every exported
+name resolves, and no module imports a name it never uses."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import levyhedge
+
+SRC = Path(levyhedge.__file__).resolve().parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"levyhedge.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"levyhedge.{name}.__all__ lists undefined {missing}"
+
+
+def test_package_reexports_public_names():
+    # every name levyhedge/__init__ imports from a submodule is defined
+    # there and listed in that submodule's __all__
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    stale = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"levyhedge.{node.module}")
+            for alias in node.names:
+                if not (hasattr(levyhedge, alias.asname or alias.name)
+                        and alias.name in getattr(mod, "__all__", ())):
+                    stale.append(f"{node.module}.{alias.name}")
+    assert not stale, f"levyhedge/__init__ re-exports non-public {stale}"
+
+
+def _unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # a name listed in __all__ is used by being exported
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    unused = _unused_imports((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert not unused, f"levyhedge/{name}.py imports unused {unused}"
+
+
+def test_unused_import_check_detects_one():
+    src = "from __future__ import annotations\nimport math\nimport os\nx = math.pi\n"
+    assert _unused_imports(src) == ["os (line 3)"]

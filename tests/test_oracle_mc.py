@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge import LevyModel, ZeroMeasure, call_price, i1, i2, tail_upper, to_mmm
+from levyhedge import LevyModel, ZeroMeasure, call_price, to_mmm, transform
 from levyhedge.benchmarks import HORIZON
 from levyhedge.oracle_mc import (
     McConfig,
     i1_from_sample,
     i2_from_sample,
-    mc_i1,
-    mc_i2,
     price_from_sample,
     simulate_log_returns,
     tail_upper_from_sample,
@@ -92,7 +90,7 @@ def test_mc_i1_at_zero_strike_is_martingale_mean(merton_mmm):
 
 
 def test_mc_i1_far_otm_vanishes(merton_mmm):
-    est = mc_i1(merton_mmm, 1e6, FAST)
+    est = i1_from_sample(simulate_log_returns(merton_mmm, FAST), 1e6)
     assert est.value == 0.0
 
 
@@ -104,7 +102,7 @@ def test_mc_i2_zero_measure():
 
 
 def test_mc_i2_small_chi_approaches_c2(vg_mmm):
-    est = mc_i2(vg_mmm, 1e-3, FAST)
+    est = i2_from_sample(vg_mmm, simulate_log_returns(vg_mmm, FAST), 1e-3)
     assert abs(est.value - vg_mmm.c2) <= 3.0 * est.se + est.x_quad_err + 1e-6
 
 
@@ -118,13 +116,14 @@ def test_fourier_inside_mc_bands(merton_mmm, phi_merton, vg_mmm, phi_vg,
     for mmm, phi in ((merton_mmm, phi_merton), (vg_mmm, phi_vg)):
         s = simulate_log_returns(mmm, FAST)
         e = i1_from_sample(s, chi)
-        assert abs(i1(phi, chi, cfg) - e.value) <= 3.0 * e.se
+        assert abs(transform("i1", phi, chi, cfg).value - e.value) <= 3.0 * e.se
         e = tail_upper_from_sample(s, chi)
-        assert abs(tail_upper(phi, chi, cfg) - e.value) <= 3.0 * e.se
+        assert abs(transform("tail", phi, chi, cfg).value - e.value) <= 3.0 * e.se
         e = price_from_sample(s, chi)
         assert abs(call_price(phi, 1.0, chi, cfg) - e.value) <= 3.0 * e.se
         e2 = i2_from_sample(mmm, s, chi)
-        assert abs(i2(mmm, phi, chi, cfg) - e2.value) <= 3.0 * e2.se + e2.x_quad_err
+        v2 = transform("i2", phi, chi, cfg, model=mmm).value
+        assert abs(v2 - e2.value) <= 3.0 * e2.se + e2.x_quad_err
 
 
 def test_negative_control_wrong_drift_breaks_martingale(merton_mmm):
