@@ -11,6 +11,8 @@ under this parametrization and is rejected by ``to_mmm`` (see tests).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .levy_core import LevyModel, ZeroMeasure
@@ -26,7 +28,6 @@ __all__ = [
     "benchmark_strikes",
     "benchmark_chi_grid",
     "bs_benchmark",
-    "merton_mu_for_mu_s",
 ]
 
 SPOT = 2102.4
@@ -40,17 +41,10 @@ _MERTON_M = -0.0697
 _MERTON_DELTA = 0.0889
 
 
-def merton_mu_for_mu_s(target_mu_s: float = None) -> float:
-    """Drift giving the requested mu_s for the benchmark jump parameters;
-    default is the midpoint -(sigma^2 + C2)/2 of the admissible range."""
-    probe = MertonParams(mu=0.0, sigma=_MERTON_SIGMA, gamma=_MERTON_GAMMA,
-                         m=_MERTON_M, delta=_MERTON_DELTA)
-    return _mu_for_mu_s(probe, target_mu_s)
-
-
 def merton_benchmark() -> MertonParams:
-    return MertonParams(mu=merton_mu_for_mu_s(), sigma=_MERTON_SIGMA,
-                        gamma=_MERTON_GAMMA, m=_MERTON_M, delta=_MERTON_DELTA)
+    p = MertonParams(mu=0.0, sigma=_MERTON_SIGMA, gamma=_MERTON_GAMMA,
+                     m=_MERTON_M, delta=_MERTON_DELTA)
+    return replace(p, mu=_mu_for_mu_s(p))
 
 
 def vg_benchmark() -> VgParams:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fourier import FourierConfig, _PricingGrid
-from .levy_core import AssumptionError, to_mmm
+from .levy_core import AssumptionError, c2_split, compute_mu_s, to_mmm
 from .models import (
     MertonParams,
     VgParams,
@@ -177,7 +177,6 @@ def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig) -> float:
 
 def constraint_report(params: Params) -> ConstraintReport:
     model = build_model(params)
-    from .levy_core import c2_split, compute_mu_s
     mu_s = compute_mu_s(model)
     c2p, c2m = c2_split(model)
     lower = -(model.sigma**2 + c2p + c2m)
@@ -232,10 +231,10 @@ def _theta_from_params(params: Params) -> np.ndarray:
     return np.array([math.log(kappa), m, math.log(delta)])
 
 
-def calibrate(family: str, qs: QuoteSet, init: Params,
-              cfg: Optional[FourierConfig] = None,
+def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
               max_iter: int = 600) -> CalibrationResult:
-    """Fit ``family`` in {'merton', 'vg'} to the quotes starting from ``init``.
+    """Fit the family of ``init`` (Merton or variance gamma) to the quotes,
+    starting from ``init``.
 
     Derivative-free Nelder-Mead with one restart from the incumbent; the
     returned parameters always satisfy the structural constraints (hard
@@ -243,12 +242,10 @@ def calibrate(family: str, qs: QuoteSet, init: Params,
     never exceeds the objective at the start point.
     """
     cfg = cfg or FourierConfig()
-    if family not in ("merton", "vg"):
-        raise ValueError(f"unknown family {family!r}")
-    decode = _merton_from_theta if family == "merton" else _vg_from_theta
-    expected = MertonParams if family == "merton" else VgParams
-    if not isinstance(init, expected):
-        raise TypeError(f"init must be {expected.__name__} for family {family!r}")
+    decode = {MertonParams: _merton_from_theta,
+              VgParams: _vg_from_theta}.get(type(init))
+    if decode is None:
+        raise TypeError(f"unsupported parameter record {type(init).__name__}")
 
     mids = np.array([q.mid for q in qs.quotes])
     scale = float(np.mean(mids))

@@ -9,8 +9,8 @@ Three verbs, all driven by an INI-style config (key = value with sections):
 Exit codes: 0 success, 1 invariant/verification failure, 2 configuration
 error.  CSV output is deterministic for a fixed config and starts with a
 '#'-prefixed digest of the resolved configuration.  Every transform is
-evaluated by adaptive quadrature; the only accepted ``[fourier] mode`` is
-``direct-quadrature``, kept so that older configs still load.
+evaluated by adaptive quadrature; the only ``[fourier]`` key is ``alpha``,
+and any other key there is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import hedging, oracle_mc
-from .fourier import FourierConfig, call_price, char_fn, transform
+from .fourier import FourierConfig, char_fn, transform
 from .levy_core import (
     AssumptionError,
     LevyIntegrabilityError,
@@ -147,14 +147,11 @@ def load_run_config(path, seed_override: Optional[int] = None,
             raise ConfigError("need 0 <= valuation_time < maturity")
         chis = _parse_chis(cp, spot)
         fsec = cp["fourier"] if cp.has_section("fourier") else {}
-        mode = fsec.get("mode", "direct-quadrature")
-        if mode != "direct-quadrature":
-            raise ConfigError(
-                f"[fourier] mode = {mode}: the FFT batch mode was removed; "
-                "drop the key or set it to direct-quadrature")
-        fourier = FourierConfig(n_grid=int(fsec.get("n_grid", 2**14)),
-                                eta=float(fsec.get("eta", 0.025)),
-                                alpha=float(fsec.get("alpha", 1.75)))
+        for key in fsec:
+            if key != "alpha":
+                raise ConfigError(f"[fourier] {key}: unknown key; the only "
+                                  "[fourier] key is alpha")
+        fourier = FourierConfig(alpha=float(fsec.get("alpha", 1.75)))
         n_paths = cp.getint("mc", "n_paths", fallback=1_000_000)
         seed = cp.getint("mc", "seed", fallback=0)
         out = cp.get("output", "path", fallback=None)
@@ -217,8 +214,8 @@ def cmd_sweep(rc: RunConfig, out_path: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
-                  fcfg: FourierConfig, mcfg: oracle_mc.McConfig,
-                  spot: float = 1.0) -> Tuple[List[dict], bool]:
+                  fcfg: FourierConfig,
+                  mcfg: oracle_mc.McConfig) -> Tuple[List[dict], bool]:
     """Side-by-side Fourier vs Monte Carlo rows; pass = within 3 SE.
 
     ``phi`` is injectable so a deliberately mis-specified characteristic
@@ -239,7 +236,7 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
              oracle_mc.i1_from_sample(sample, chi)),
             ("tail_upper", tu, tl),
             ("tail_lower", 1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
-            ("price", call_price(phi, spot, chi * spot, fcfg) / spot,
+            ("price", transform("price", phi, chi, fcfg).value,
              oracle_mc.price_from_sample(sample, chi)),
         ]
         e2 = oracle_mc.i2_from_sample(mmm, sample, chi)
@@ -297,7 +294,7 @@ def cmd_calibrate(config_path, quotes_path, family: str,
         quotes = cal.read_quotes(quotes_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"quote file error: {exc}") from exc
-    result = cal.calibrate(family, quotes, init)
+    result = cal.calibrate(quotes, init)
     if out_path:
         cal.write_result(out_path, result)
     rep = result.constraint_report

@@ -9,11 +9,11 @@ where psi carries the MMM characteristic function phi_tau(v - i*alpha) and a
 kind-specific rational factor.  Each transform is evaluated per moneyness
 by adaptive quadrature, in two parts:
 
-* a "head" over [0, v_max] (v_max = n_grid * eta);
-* an analytic "tail" beyond v_max.  Diffusive models (sigma > 0) decay like
+* a "head" over [0, _V_MAX] (_V_MAX = 409.6);
+* an analytic "tail" beyond _V_MAX.  Diffusive models (sigma > 0) decay like
   a Gaussian and the head is simply extended; pure-jump models decay only
   algebraically (|phi| ~ v^{-q} with q possibly < 1), so the tail integral
-  is taken down a rotated contour v_max -+ i*s where the integrand decays
+  is taken down a rotated contour _V_MAX -+ i*s where the integrand decays
   exponentially.  Skipping the tail can leave absolute errors of order 1e-2
   for short horizons, far above the tolerances used here.
 
@@ -62,34 +62,24 @@ _CLAMP_TOL = 1e-8
 # relative agreement required of the condition integrand's fitted decay
 # power over the last two decades before its power-law tail is trusted
 _POWER_RTOL = 1e-3
+# end of the head quadrature and start of the analytic tail
+_V_MAX = 409.6
+# QUADPACK tolerances of every transform and condition-integral quadrature
+_EPSABS = 1e-12
+_EPSREL = 1e-9
+# a transform whose error estimate exceeds this raises AccuracyError
+_ACCURACY_LIMIT = 1e-5
 
 
 @dataclass(frozen=True)
 class FourierConfig:
-    """Discretization parameters of the transforms.
+    """The damping exponent alpha in (1, 2] of the transforms."""
 
-    n_grid/eta fix the head truncation v_max = n_grid*eta; alpha is the
-    damping exponent in (1, 2].
-    """
-
-    n_grid: int = 2**14
-    eta: float = 0.025
     alpha: float = 1.75
-    epsabs: float = 1e-12
-    epsrel: float = 1e-9
-    accuracy_limit: float = 1e-5
 
     def __post_init__(self):
-        if self.n_grid < 2 or (self.n_grid & (self.n_grid - 1)) != 0:
-            raise ValueError(f"n_grid must be a power of two, got {self.n_grid}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
         if not (1.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-
-    @property
-    def v_max(self) -> float:
-        return self.n_grid * self.eta
 
 
 @dataclass(frozen=True)
@@ -230,9 +220,8 @@ def _clamped(kind: str, value: float, err: float,
 # head and tail quadratures
 # ---------------------------------------------------------------------------
 
-def _quad(f, a, b, cfg: FourierConfig, flags: List[str], tag: str,
-          weight=None, wvar=None):
-    kwargs = dict(epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=800,
+def _quad(f, a, b, flags: List[str], tag: str, weight=None, wvar=None):
+    kwargs = dict(epsabs=_EPSABS, epsrel=_EPSREL, limit=800,
                   full_output=1)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar, maxp1=100)
@@ -244,19 +233,19 @@ def _quad(f, a, b, cfg: FourierConfig, flags: List[str], tag: str,
     return val, err
 
 
-def _segment(psi, k: float, a: float, b: float, cfg: FourierConfig,
-             flags: List[str], tag: str) -> Tuple[float, float]:
+def _segment(psi, k: float, a: float, b: float, flags: List[str],
+             tag: str) -> Tuple[float, float]:
     """Real part of integral_a^b e^{-ivk} psi(v) dv.  ``tag`` ("head" or
     "tail") names the quadpack flag; the oscillatory (QAWO) route for
     |k| >= _OSC_THRESHOLD appends "-osc" to it."""
     if abs(k) >= _OSC_THRESHOLD:
-        vc, ec = _quad(lambda v: psi(v).real, a, b, cfg, flags,
+        vc, ec = _quad(lambda v: psi(v).real, a, b, flags,
                        tag + "-osc", weight="cos", wvar=k)
-        vs, es = _quad(lambda v: psi(v).imag, a, b, cfg, flags,
+        vs, es = _quad(lambda v: psi(v).imag, a, b, flags,
                        tag + "-osc", weight="sin", wvar=k)
         return vc + vs, ec + es
     return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
-                 a, b, cfg, flags, tag)
+                 a, b, flags, tag)
 
 
 def _gauss_cutoff(phi: CharFn, alpha: float) -> float:
@@ -265,28 +254,26 @@ def _gauss_cutoff(phi: CharFn, alpha: float) -> float:
 
 
 def _tail(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
-          k: float, v_start: float, cfg: FourierConfig,
-          flags: List[str]) -> Tuple[float, float]:
+          k: float, v_start: float, flags: List[str]) -> Tuple[float, float]:
     """Re of integral_{v_start}^inf e^{-ivk} psi(v) dv, plus error estimate."""
     if phi.sigma > 0.0:
         v2 = _gauss_cutoff(phi, alpha)
         if v2 <= v_start:
             return 0.0, 0.0
         psi = _make_psi(kind, phi, alpha, model)
-        return _segment(psi, k, v_start, v2, cfg, flags, "tail")
+        return _segment(psi, k, v_start, v2, flags, "tail")
     if phi.continuable:
-        return _tail_contour(kind, phi, model, alpha, k, v_start, cfg, flags)
+        return _tail_contour(kind, phi, model, alpha, k, v_start, flags)
     # last resort: real-axis improper integral with whatever accuracy
     # quadpack can certify
     psi = _make_psi(kind, phi, alpha, model)
     flags.append("tail-uncontinued")
-    val, err = _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
-                     v_start, np.inf, cfg, flags, "tail")
-    return val, err
+    return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
+                 v_start, np.inf, flags, "tail")
 
 
 def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
-                  alpha: float, k: float, v_start: float, cfg: FourierConfig,
+                  alpha: float, k: float, v_start: float,
                   flags: List[str]) -> Tuple[float, float]:
     """Rotate the tail onto a vertical contour v_start -+ i s.
 
@@ -303,8 +290,8 @@ def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
         return np.exp(-1j * v * k) * psi(v)
 
     rot = -1j if down else 1j
-    vr, er = _quad(lambda s: f(s).real, 0.0, np.inf, cfg, flags, "tail-rot")
-    vi, ei = _quad(lambda s: f(s).imag, 0.0, np.inf, cfg, flags, "tail-rot")
+    vr, er = _quad(lambda s: f(s).real, 0.0, np.inf, flags, "tail-rot")
+    vi, ei = _quad(lambda s: f(s).imag, 0.0, np.inf, flags, "tail-rot")
     val = (rot * (vr + 1j * vi)).real
     return val, er + ei
 
@@ -314,20 +301,18 @@ def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
 # ---------------------------------------------------------------------------
 
 def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
-              model: Optional[MmmModel] = None,
-              alpha: Optional[float] = None) -> FourierResult:
+              model: Optional[MmmModel] = None) -> FourierResult:
     """Reference (adaptive-quadrature) evaluation of one transform at one
-    moneyness.  ``alpha`` overrides cfg.alpha for tail-probability fallback
-    and damping-independence checks."""
+    moneyness.  A value or error estimate that is not finite, or an error
+    estimate above the accuracy limit, raises AccuracyError."""
     if chi <= 0:
         raise ValueError(f"moneyness must be > 0, got {chi}")
-    a = cfg.alpha if alpha is None else alpha
+    a = cfg.alpha
     flags: List[str] = []
     lo, hi = phi.strip_im
     if not (lo < -a < hi):
-        if kind == "tail" and alpha is None:
-            # fall back to a damping line inside the strip; callers that
-            # require a specific line pass alpha explicitly and get the error
+        if kind == "tail":
+            # fall back to a damping line inside the strip
             if not (lo < -1.0):
                 raise StripError(
                     f"no damping line in (1, 2] fits the strip ({lo}, {hi})")
@@ -342,16 +327,20 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
 
     k = math.log(chi)
     psi = _make_psi(kind, phi, a, model)
-    head, err_h = _segment(psi, k, 0.0, cfg.v_max, cfg, flags, "head")
-    tail, err_t = _tail(kind, phi, model, a, k, cfg.v_max, cfg, flags)
+    head, err_h = _segment(psi, k, 0.0, _V_MAX, flags, "head")
+    tail, err_t = _tail(kind, phi, model, a, k, _V_MAX, flags)
     pre = _prefactor(kind, a, k)
+    value = pre * (head + tail)
     err = pre * (err_h + err_t)
-    if err > cfg.accuracy_limit:
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise AccuracyError(
+            f"{kind} transform is not finite (value {value!r}, err estimate "
+            f"{err!r}) at chi={chi}")
+    if err > _ACCURACY_LIMIT:
         raise AccuracyError(
             f"{kind} transform error estimate {err:.3g} exceeds the "
-            f"accuracy limit {cfg.accuracy_limit:.3g} at chi={chi}")
-    value = _clamped(kind, pre * (head + tail), err, flags)
-    return FourierResult(value, err, tuple(flags))
+            f"accuracy limit {_ACCURACY_LIMIT:.3g} at chi={chi}")
+    return FourierResult(_clamped(kind, value, err, flags), err, tuple(flags))
 
 
 def call_price(phi: CharFn, spot: float, strike: float,
@@ -403,7 +392,7 @@ class _PricingGrid:
                 "fast pricing of pure-jump models needs a closed-form "
                 "characteristic function")
         else:
-            v_end = cfg.v_max
+            v_end = _V_MAX
         # head panels of bounded width so moderate log-strikes stay resolved
         self.v, w = _gl_panels(np.append(np.arange(0.0, v_end, 24.0), v_end),
                                self._GL32)
@@ -441,7 +430,7 @@ class _PricingGrid:
 # large-moneyness bound condition integral
 # ---------------------------------------------------------------------------
 
-def theorem4_condition_integral(phi: CharFn, cfg: FourierConfig,
+def theorem4_condition_integral(phi: CharFn,
                                 v_cut: Optional[float] = None) -> ConditionIntegral:
     """Integral of |phi_tau(v - 2i)| / (1 + v) over v >= 0.
 
@@ -466,8 +455,7 @@ def theorem4_condition_integral(phi: CharFn, cfg: FourierConfig,
         val = 0.0
         edges = np.linspace(0.0, v2, 8)
         for a, b in zip(edges[:-1], edges[1:]):
-            val += quad(m, a, b, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
-                        limit=400)[0]
+            val += quad(m, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)[0]
         resid = float(m(v2)) * 2.0  # Gaussian decay: comfortably dominated
         return ConditionIntegral(val, resid, v2, math.inf)
 
@@ -477,14 +465,18 @@ def theorem4_condition_integral(phi: CharFn, cfg: FourierConfig,
     b = 10.0
     while a < v_end:
         b = min(b, v_end)
-        val += quad(m, a, b, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=400)[0]
+        val += quad(m, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)[0]
         a, b = b, b * 10.0
     # fitted decay power of |phi| over each of the last two decades
     p0, p1, p2 = (abs(phi.fn(v - 2j)) for v in (v_end / 100.0, v_end / 10.0, v_end))
     if p2 == 0.0:
         return ConditionIntegral(val, 0.0, v_end, math.inf)
     power = (math.log(p1) - math.log(p2)) / math.log(10.0)
-    if power <= 0.02:
+    # an integrand that does not decay (a law with an atom) fits a power of
+    # 0 up to the rounding of the two logarithms, a few eps * |log p| (about
+    # 5e-17 in practice); any stable power above that rounding level gives an
+    # integrable v^(-1-power) tail, however small the power
+    if power <= 1e3 * np.finfo(float).eps * max(1.0, abs(math.log(p2))):
         raise DivergenceError(
             "condition integrand shows no decay "
             f"(fitted power {power:.3g} per decade); integral treated as divergent")

@@ -54,8 +54,7 @@ class StrategyPoint:
         return not any(f.endswith("violation") for f in self.flags)
 
 
-def bound_t4_constant(model: MmmModel, phi: CharFn,
-                      cfg: FourierConfig) -> Optional[float]:
+def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
     """Constant of the large-moneyness bound (the bound itself is const/chi):
 
         sqrt(5) / (2 pi (sigma^2 + C2)) * integral |phi(v-2i)|/(1+v) dv
@@ -65,7 +64,7 @@ def bound_t4_constant(model: MmmModel, phi: CharFn,
     sigma = 0).
     """
     try:
-        condition = theorem4_condition_integral(phi, cfg)
+        condition = theorem4_condition_integral(phi)
     except DivergenceError:
         return None
     g = model.measure.exp_moment
@@ -128,7 +127,7 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
 
     t4_const: Optional[float]
     try:
-        t4_const = bound_t4_constant(model, phi, cfg)
+        t4_const = bound_t4_constant(model, phi)
     except LevyIntegrabilityError:
         t4_const = None
 

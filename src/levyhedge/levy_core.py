@@ -94,12 +94,6 @@ class LevyMeasure(ABC):
     def is_zero(self) -> bool:
         return False
 
-    def total_mass(self) -> float:
-        val = 0.0
-        for a, b in self.quad_panels():
-            val += quad(self.density, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL)[0]
-        return val
-
     def _check_w(self, w) -> None:
         re = np.real(w)
         if not np.all((self.w_lo < re) & (re < self.w_hi)):
@@ -201,9 +195,6 @@ class ZeroMeasure(LevyMeasure):
 
     def quad_panels(self, w_re: float = 0.0):
         return []
-
-    def total_mass(self) -> float:
-        return 0.0
 
     def exp_moment(self, w, region: str = "all", check: bool = True):
         w = np.asarray(w, dtype=complex)

@@ -130,9 +130,6 @@ class MertonMeasure(LevyMeasure):
         r = abs(self.m) + abs(w_re) * self.delta**2 + 14.0 * self.delta
         return [(-r, 0.0), (0.0, r)]
 
-    def total_mass(self) -> float:
-        return self.gamma
-
     def exp_moment(self, w, region: str = "all", check: bool = True):
         w = np.asarray(w, dtype=complex)
         g, m, d = self.gamma, self.m, self.delta
@@ -185,9 +182,6 @@ class VgMeasure(LevyMeasure):
         decay_pos = self.m_big - max(w_re, 0.0)
         a_pos = 45.0 / max(decay_pos, 0.5)
         return [(-max(a_neg, 1.5), -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, max(a_pos, 1.5))]
-
-    def total_mass(self) -> float:
-        return math.inf
 
     def exp_moment(self, w, region: str = "all", check: bool = True):
         w = np.asarray(w, dtype=complex)
@@ -254,16 +248,14 @@ def build_model(params: Union[MertonParams, VgParams],
     raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
 
-def _mu_for_mu_s(p: MertonParams, target_mu_s: Optional[float] = None) -> float:
-    """Drift giving ``target_mu_s`` for the volatility and jumps of ``p`` (its
-    own mu is ignored).  The default target is -(sigma^2 + C2)/2, the
-    midpoint of the admissible interval 0 >= mu_s > -(sigma^2 + C2)."""
+def _mu_for_mu_s(p: MertonParams) -> float:
+    """Drift placing mu_s at -(sigma^2 + C2)/2, the midpoint of the
+    admissible interval 0 >= mu_s > -(sigma^2 + C2), for the volatility and
+    jumps of ``p`` (its own mu is ignored)."""
     probe = merton_model(replace(p, mu=0.0))
     mu_s0 = compute_mu_s(probe)  # mu_s at mu = 0; mu_s has unit slope in mu
-    if target_mu_s is None:
-        c2p, c2m = c2_split(probe)
-        target_mu_s = -(probe.sigma**2 + c2p + c2m) / 2.0
-    return target_mu_s - mu_s0
+    c2p, c2m = c2_split(probe)
+    return -(probe.sigma**2 + c2p + c2m) / 2.0 - mu_s0
 
 
 def merton_c2_minus(p: MertonParams) -> float:

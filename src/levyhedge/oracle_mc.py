@@ -28,6 +28,7 @@ from typing import List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .fourier import _gl_panels
 from .levy_core import MmmModel, ZeroMeasure
 from .models import MertonMeasure, VgMeasure
 
@@ -192,26 +193,15 @@ def price_from_sample(sample: McSample, chi: float) -> McEstimate:
     return _mean_se(np.maximum(s - chi, 0.0))
 
 
-def _i2_nodes(measure, chi: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights covering the x-integral support.
-
-    Panels split at -1, 0, 1; the integrand vanishes quadratically at 0 so
-    the VG 1/|x| singularity needs no special handling beyond keeping 0 a
-    panel edge.
+def _i2_nodes(measure) -> Tuple[np.ndarray, np.ndarray]:
+    """160-point Gauss-Legendre nodes/weights on each of the measure's
+    panels for the factor e^{2x}, which keep 0 a panel edge.  The integrand
+    vanishes quadratically at 0, so the VG 1/|x| singularity needs no other
+    handling.  The rule is built here rather than at import, where its
+    eigenvalue solve would slow down every start-up.
     """
-    if isinstance(measure, VgMeasure):
-        a_neg = max(45.0 / measure.g, 1.5)
-        a_pos = max(45.0 / max(measure.m_big - 2.0, 0.5), 1.5)
-        panels = [(-a_neg, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, a_pos)]
-    else:
-        r = abs(measure.m) + 2.0 * measure.delta**2 + 14.0 * measure.delta
-        panels = [(-r, 0.0), (0.0, r)]
-    nodes, weights = [], []
-    for a, b in panels:
-        xg, wg = leggauss(160)
-        nodes.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    panels = measure.quad_panels(w_re=2.0)
+    return _gl_panels([panels[0][0]] + [b for _, b in panels], leggauss(160))
 
 
 def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimate:
@@ -226,7 +216,7 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
     measure = model.measure
     if measure.is_zero:
         return McI2Estimate(0.0, 0.0, 0.0)
-    xs, ws = _i2_nodes(measure, chi)
+    xs, ws = _i2_nodes(measure)
     dens = measure.density(xs)
     coef = ws * (np.exp(xs) - 1.0) * dens            # full rule
     coef_h = coef.copy()

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from levyhedge import FourierConfig, char_fn, to_mmm
+from levyhedge import (
+    FourierConfig,
+    LevyModel,
+    c2_split,
+    char_fn,
+    compute_mu_s,
+    to_mmm,
+)
 from levyhedge.benchmarks import (
     HORIZON,
     bs_benchmark,
     merton_benchmark,
     vg_benchmark,
 )
-from levyhedge.models import merton_model, vg_model
+from levyhedge.models import MertonMeasure, merton_model, vg_model
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +41,17 @@ def vg_mmm(vg_params):
 @pytest.fixture(scope="session")
 def bs_mmm():
     return to_mmm(bs_benchmark())
+
+
+@pytest.fixture(scope="session")
+def pure_jump_merton(merton_params):
+    # the benchmark jumps without the Brownian part: compound Poisson, so the
+    # law of L has an atom; the drift puts mu_s mid-range of (-C2, 0]
+    p = merton_params
+    jumps = MertonMeasure(p.gamma, p.m, p.delta)
+    probe = LevyModel(mu=0.0, sigma=0.0, measure=jumps)
+    mu = -compute_mu_s(probe) - 0.5 * sum(c2_split(probe))
+    return to_mmm(LevyModel(mu=mu, sigma=0.0, measure=jumps))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ single pass/fail line (run with -s to see them inline).
 
 Criteria use the benchmark Merton and variance-gamma parameter sets, the
 13-point moneyness grid 0.9037..1.1891, horizon 0.05, and the default
-transform configuration (n_grid 2^14, eta 0.025, alpha 1.75).
+transform configuration (alpha 1.75, head over [0, 409.6]).
 """
 
 import time
@@ -115,14 +115,14 @@ def test_criterion_2_closed_forms_vs_quadrature(setup):
 
 def test_criterion_3_alpha_independence(setup):
     t0 = time.perf_counter()
-    cfg = setup["cfg"]
     alphas = (1.25, 1.5, 1.75, 2.0)
     worst = 0.0
     for key in ("merton", "vg"):
         m, phi = setup[key], setup["phi_" + key]
         for chi in setup["chis"]:
-            v1 = [transform("i1", phi, chi, cfg, alpha=a).value for a in alphas]
-            v2 = [transform("i2", phi, chi, cfg, model=m, alpha=a).value
+            v1 = [transform("i1", phi, chi, FourierConfig(alpha=a)).value
+                  for a in alphas]
+            v2 = [transform("i2", phi, chi, FourierConfig(alpha=a), model=m).value
                   for a in alphas]
             for vals in (v1, v2):
                 scale = max(abs(np.mean(vals)), 1e-12)
@@ -192,7 +192,7 @@ def test_criterion_6_large_moneyness_bound(setup):
     detail = []
     for key in ("merton", "vg"):
         m, phi = setup[key], setup["phi_" + key]
-        const = bound_t4_constant(m, phi, cfg)
+        const = bound_t4_constant(m, phi)
         ok &= const is not None and np.isfinite(const)
         worst = 0.0
         for j in range(1, 9):
@@ -251,7 +251,7 @@ def test_criterion_9_synthetic_calibration_recovery(setup):
     qs = quotes_for(setup["merton"])
     init = MertonParams(mu=mp.mu, sigma=mp.sigma * 1.2, gamma=mp.gamma * 0.8,
                         m=mp.m * 1.2, delta=mp.delta * 0.8)
-    res = calibrate("merton", qs, init, cfg)
+    res = calibrate(qs, init, cfg)
     got = res.params
     ok &= res.rmse < 0.1 and res.constraint_report.ok
     ok &= abs(got.sigma / mp.sigma - 1) <= 0.05
@@ -264,7 +264,7 @@ def test_criterion_9_synthetic_calibration_recovery(setup):
     qs = quotes_for(setup["vg"])
     kappa, m, delta = vg_to_kappa(vp)
     init = vg_from_kappa(kappa * 1.2, m * 1.1, delta * 0.92)
-    res = calibrate("vg", qs, init, cfg)
+    res = calibrate(qs, init, cfg)
     got = res.params
     ok &= res.rmse < 0.1 and res.constraint_report.ok
     ok &= abs(got.c_par / vp.c_par - 1) <= 0.10

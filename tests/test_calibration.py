@@ -160,7 +160,7 @@ def test_merton_synthetic_recovery(merton_params, cfg):
     p = merton_params
     init = MertonParams(mu=p.mu, sigma=p.sigma * 1.2, gamma=p.gamma * 0.8,
                         m=p.m * 1.2, delta=p.delta * 0.8)
-    res = calibrate("merton", qs, init, cfg)
+    res = calibrate(qs, init, cfg)
     assert res.rmse < 0.1
     assert res.converged
     assert res.constraint_report.ok
@@ -175,7 +175,7 @@ def test_vg_synthetic_recovery(vg_params, cfg):
     qs = synth_quotes(vg_params, cfg)
     kappa, m, delta = vg_to_kappa(vg_params)
     init = vg_from_kappa(kappa * 1.2, m * 1.1, delta * 0.92)
-    res = calibrate("vg", qs, init, cfg)
+    res = calibrate(qs, init, cfg)
     assert res.rmse < 0.1
     assert res.converged
     assert res.constraint_report.ok
@@ -191,7 +191,7 @@ def test_infeasible_init_is_projected(merton_params, cfg):
     bad = MertonParams(mu=4.0073, sigma=p.sigma, gamma=p.gamma, m=p.m,
                        delta=p.delta)  # mu_s > 0
     assert not constraint_report(bad).ok
-    res = calibrate("merton", qs, bad, cfg, max_iter=150)
+    res = calibrate(qs, bad, cfg, max_iter=150)
     assert res.constraint_report.ok
     # projection plus optimization beats a feasible but detuned reference
     detuned = MertonParams(mu=p.mu - 0.002, sigma=p.sigma * 1.5,
@@ -206,7 +206,7 @@ def vg_fit(vg_params, cfg):
     kappa, m, delta = vg_to_kappa(vg_params)
     init = vg_from_kappa(kappa * 1.2, m, delta)
     assert constraint_report(init).ok
-    return qs, init, calibrate("vg", qs, init, cfg, max_iter=60)
+    return qs, init, calibrate(qs, init, cfg, max_iter=60)
 
 
 def test_calibrate_reports_rmse_of_returned_params(vg_fit, cfg):
@@ -226,12 +226,10 @@ def test_vg_fit_record_holds_plain_floats(vg_fit, tmp_path):
         assert float(rec[key]) == val
 
 
-def test_calibrate_validates_inputs(merton_params, vg_params, cfg):
+def test_calibrate_validates_inputs(merton_params, cfg):
     qs = synth_quotes(merton_params, cfg, n_exp=1, per_exp=3)
-    with pytest.raises(ValueError, match="family"):
-        calibrate("heston", qs, merton_params, cfg)
-    with pytest.raises(TypeError):
-        calibrate("merton", qs, vg_params, cfg)
+    with pytest.raises(TypeError, match="unsupported"):
+        calibrate(qs, {"family": "heston"}, cfg)
 
 
 def test_write_result(tmp_path, merton_params, cfg):

@@ -36,8 +36,6 @@ k_max = 2500
 k_step = 50
 
 [fourier]
-n_grid = 16384
-eta = 0.025
 alpha = 1.75
 
 [mc]
@@ -190,13 +188,15 @@ def test_sweep_fft_flag_removed(merton_ini):
     assert exc.value.code == EXIT_CONFIG
 
 
-def test_fourier_mode_key(tmp_path, capsys):
-    ini = tmp_path / "mode.ini"
-    ini.write_text(BS_INI + "\n[fourier]\nmode = direct-quadrature\n")
-    assert load_run_config(ini).fourier == FourierConfig()
-    ini.write_text(BS_INI + "\n[fourier]\nmode = fft-batch\n")
-    assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
-    assert "FFT batch mode was removed" in capsys.readouterr().err
+def test_fourier_section_accepts_only_alpha(tmp_path, capsys):
+    ini = tmp_path / "fourier.ini"
+    ini.write_text(BS_INI + "\n[fourier]\nalpha = 1.25\n")
+    assert load_run_config(ini).fourier == FourierConfig(alpha=1.25)
+    for line in ("mode = direct-quadrature", "n_grid = 16384", "eta = 0.025"):
+        ini.write_text(BS_INI + "\n[fourier]\nalpha = 1.25\n" + line + "\n")
+        assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
+        key = line.split(" = ")[0]
+        assert f"[fourier] {key}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

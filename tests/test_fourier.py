@@ -13,6 +13,7 @@ from levyhedge import (
     transform,
 )
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
+from levyhedge.models import VgParams, vg_model
 
 ALPHAS = (1.25, 1.5, 1.75, 2.0)
 
@@ -77,17 +78,17 @@ def test_i2_small_chi_limit_is_c2(vg_mmm, phi_vg, merton_mmm, phi_merton, cfg):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("chi", [0.9037, 0.9989, 1.0464, 1.1891])
-def test_i1_alpha_independence(phi_merton, phi_vg, cfg, chi):
+def test_i1_alpha_independence(phi_merton, phi_vg, chi):
     for phi in (phi_merton, phi_vg):
-        vals = [transform("i1", phi, chi, cfg, alpha=a).value for a in ALPHAS]
+        vals = [value("i1", phi, chi, FourierConfig(alpha=a)) for a in ALPHAS]
         scale = max(abs(np.mean(vals)), 1e-12)
         assert (max(vals) - min(vals)) / scale <= 1e-6
 
 
 @pytest.mark.parametrize("chi", [0.9037, 1.0464])
-def test_i2_alpha_independence(merton_mmm, phi_merton, vg_mmm, phi_vg, cfg, chi):
+def test_i2_alpha_independence(merton_mmm, phi_merton, vg_mmm, phi_vg, chi):
     for mmm, phi in ((merton_mmm, phi_merton), (vg_mmm, phi_vg)):
-        vals = [transform("i2", phi, chi, cfg, model=mmm, alpha=a).value
+        vals = [value("i2", phi, chi, FourierConfig(alpha=a), model=mmm)
                 for a in ALPHAS]
         scale = max(abs(np.mean(vals)), 1e-12)
         assert (max(vals) - min(vals)) / scale <= 1e-6
@@ -150,56 +151,61 @@ def test_i1_strip_violation_raises(phi_merton):
         transform("i1", narrow, 1.05, FourierConfig(alpha=2.0))
 
 
-def test_explicit_tail_alpha_violation_raises(phi_merton):
-    narrow = _narrow_strip_phi(phi_merton)
-    with pytest.raises(StripError):
-        transform("tail", narrow, 1.05, FourierConfig(alpha=1.75), alpha=2.0)
-
-
 # ---------------------------------------------------------------------------
 # condition integral for the large-moneyness bound
 # ---------------------------------------------------------------------------
 
-def test_condition_integral_finite_black_scholes(phi_bs, cfg):
-    res = theorem4_condition_integral(phi_bs, cfg)
+def test_condition_integral_finite_black_scholes(phi_bs):
+    res = theorem4_condition_integral(phi_bs)
     assert np.isfinite(res.total)
     assert res.tail_estimate <= 1e-8 * res.value
 
 
-def test_condition_integral_finite_vg(phi_vg, cfg):
-    res = theorem4_condition_integral(phi_vg, cfg)
+def test_condition_integral_finite_vg(phi_vg):
+    res = theorem4_condition_integral(phi_vg)
     assert np.isfinite(res.total)
     assert res.value > 0
     # fitted per-decade decay should match the pure-jump activity rate
     assert res.decay_power == pytest.approx(2 * 6.791 * HORIZON, rel=1e-3)
 
 
-def test_condition_integral_stable_under_doubling(phi_merton, cfg):
-    a = theorem4_condition_integral(phi_merton, cfg)
-    b = theorem4_condition_integral(phi_merton, cfg, v_cut=2 * a.v_cut)
+def test_condition_integral_stable_under_doubling(phi_merton):
+    a = theorem4_condition_integral(phi_merton)
+    b = theorem4_condition_integral(phi_merton, v_cut=2 * a.v_cut)
     assert b.value == pytest.approx(a.value, rel=1e-6)
 
 
-def test_condition_integral_divergence_error(cfg):
+def test_condition_integral_divergence_error():
     # a distribution with an atom: |phi| does not decay at all
     flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
                   horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
     with pytest.raises(DivergenceError):
-        theorem4_condition_integral(flat, cfg, v_cut=1e4)
+        theorem4_condition_integral(flat, v_cut=1e4)
 
 
-def test_condition_integral_vg_one_day_is_finite(vg_mmm, cfg):
+def test_condition_integral_vg_one_day_is_finite(vg_mmm):
     # |phi(v - 2i)| decays like v^(-2 C tau) with 2 C tau = 0.037: slow but
     # integrable, so the power-law tail estimate must close the integral
     phi = char_fn(vg_mmm, 1.0 / 365.0)
-    res = theorem4_condition_integral(phi, cfg)
-    far = theorem4_condition_integral(phi, cfg, v_cut=1e12)
+    res = theorem4_condition_integral(phi)
+    far = theorem4_condition_integral(phi, v_cut=1e12)
     assert type(res.tail_estimate) is float
     assert res.total == pytest.approx(far.total, rel=1e-8)
     assert res.total == pytest.approx(30.3156, rel=1e-5)
 
 
-def test_condition_integral_drifting_decay_diverges(cfg):
+def test_condition_integral_small_stable_power_is_finite():
+    # admissible VG (C, G, M) = (0.5, 5, 7) at one day: the fitted power
+    # 2 C tau = 0.00274 is small but stable, so the integral is finite and
+    # its power-law tail estimate must not move with the cut
+    phi = char_fn(to_mmm(vg_model(VgParams(0.5, 5.0, 7.0))), 1.0 / 365.0)
+    res = theorem4_condition_integral(phi)
+    far = theorem4_condition_integral(phi, v_cut=1e12)
+    assert res.decay_power == pytest.approx(1.0 / 365.0, rel=1e-6)
+    assert res.total == pytest.approx(far.total, rel=1e-9)
+
+
+def test_condition_integral_drifting_decay_diverges():
     # no decay at all (an atom), and a decay power that keeps falling
     # (1/log v: the power fitted per decade never settles)
     flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
@@ -208,7 +214,7 @@ def test_condition_integral_drifting_decay_diverges(cfg):
                   horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
     for phi in (flat, slow):
         with pytest.raises(DivergenceError):
-            theorem4_condition_integral(phi, cfg)
+            theorem4_condition_integral(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +223,9 @@ def test_condition_integral_drifting_decay_diverges(cfg):
 
 def test_fourier_config_validation():
     with pytest.raises(ValueError):
-        FourierConfig(n_grid=1000)
-    with pytest.raises(ValueError):
-        FourierConfig(eta=-0.1)
-    with pytest.raises(ValueError):
         FourierConfig(alpha=1.0)
     with pytest.raises(ValueError):
         FourierConfig(alpha=2.5)
-    assert FourierConfig().v_max == pytest.approx(409.6)
 
 
 def test_char_fn_rejects_degenerate_model():

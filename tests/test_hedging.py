@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyhedge import hedging, transform
+from levyhedge import AccuracyError, char_fn, hedging, transform
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
 from levyhedge.hedging import bound_t4_constant, strategy_point, sweep
 
@@ -60,13 +60,13 @@ def test_bound_t3_small_chi_behaviour(vg_mmm, phi_vg, cfg):
 
 
 def test_bound_t4_zero_measure(bs_mmm, phi_bs, cfg):
-    c = bound_t4_constant(bs_mmm, phi_bs, cfg)
+    c = bound_t4_constant(bs_mmm, phi_bs)
     pt = strategy_point(bs_mmm, phi_bs, 1.1, cfg, t4_const=c)
     assert pt.bound_t4 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bound_t4_scales_as_one_over_chi(vg_mmm, phi_vg, cfg):
-    c = bound_t4_constant(vg_mmm, phi_vg, cfg)
+    c = bound_t4_constant(vg_mmm, phi_vg)
     assert c is not None and c > 0
     for chi in (0.5, 1.0, 7.0):
         pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=c)
@@ -77,7 +77,7 @@ def test_bound_t4_absent_when_condition_diverges(vg_mmm, phi_vg, cfg):
     from levyhedge import CharFn
     flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
                   horizon=HORIZON, strip_im=(-5.0, 5.0), sigma=0.0)
-    assert bound_t4_constant(vg_mmm, flat, cfg) is None
+    assert bound_t4_constant(vg_mmm, flat) is None
 
 
 def test_bounds_dominate_difference_on_grid(merton_mmm, phi_merton,
@@ -99,7 +99,7 @@ def test_bounds_dominate_difference_on_grid(merton_mmm, phi_merton,
 def test_sweep_single_point_matches_individual(vg_mmm, phi_vg, cfg):
     pt_sweep = sweep(vg_mmm, phi_vg, [1.05], cfg)[0]
     pt_single = strategy_point(vg_mmm, phi_vg, 1.05, cfg,
-                               t4_const=bound_t4_constant(vg_mmm, phi_vg, cfg))
+                               t4_const=bound_t4_constant(vg_mmm, phi_vg))
     assert pt_sweep == pt_single
 
 
@@ -110,19 +110,12 @@ def test_sweep_validates_grid(vg_mmm, phi_vg, cfg):
         sweep(vg_mmm, phi_vg, [-1.0, 1.0], cfg)
 
 
-def test_sweep_computes_divergent_condition_integral_once(merton_params, cfg,
-                                                         monkeypatch):
+def test_sweep_computes_divergent_condition_integral_once(pure_jump_merton,
+                                                         cfg, monkeypatch):
     # pure-jump Merton is compound Poisson: the law of L has an atom, so
     # |phi(v - 2i)| does not decay and the condition integral diverges; the
     # sweep learns that once and must not retry it at every point
-    from levyhedge import LevyModel, char_fn, compute_mu_s, c2_split, to_mmm
-    from levyhedge.models import MertonMeasure
-    p = merton_params
-    jumps = MertonMeasure(p.gamma, p.m, p.delta)
-    probe = LevyModel(mu=0.0, sigma=0.0, measure=jumps)
-    # drift placing mu_s mid-range of (-C2, 0]
-    mu = -compute_mu_s(probe) - 0.5 * sum(c2_split(probe))
-    mmm = to_mmm(LevyModel(mu=mu, sigma=0.0, measure=jumps))
+    mmm = pure_jump_merton
     phi = char_fn(mmm, HORIZON)
     calls = []
     real = hedging.theorem4_condition_integral
@@ -135,6 +128,19 @@ def test_sweep_computes_divergent_condition_integral_once(merton_params, cfg,
     points = sweep(mmm, phi, [0.95, 1.0, 1.05], cfg)
     assert len(calls) == 1
     assert all(p.bound_t4 is None for p in points)
+
+
+def test_non_finite_transform_is_a_flagged_error(pure_jump_merton, cfg):
+    # the Gaussian jump transform of pure-jump Merton overflows on the
+    # rotated contour; the NaN must surface as an error, not as an ok point
+    mmm = pure_jump_merton
+    phi = char_fn(mmm, HORIZON)
+    for kind in ("i1", "tail", "i2"):
+        with pytest.raises(AccuracyError, match="not finite"):
+            transform(kind, phi, 1.0, cfg, model=mmm)
+    (point,) = sweep(mmm, phi, [1.0], cfg)
+    assert point.flags == ("error:AccuracyError", "point-violation")
+    assert not point.ok
 
 
 def test_vg_differences_exceed_merton(merton_mmm, phi_merton, vg_mmm,
@@ -157,7 +163,7 @@ def test_small_chi_order(vg_mmm, phi_vg, cfg):
 
 
 def test_large_chi_order(vg_mmm, phi_vg, cfg):
-    c = bound_t4_constant(vg_mmm, phi_vg, cfg)
+    c = bound_t4_constant(vg_mmm, phi_vg)
     for j in range(1, 9):
         chi = 2.0 ** j
         pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None)
