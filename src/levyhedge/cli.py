@@ -163,6 +163,10 @@ def load_run_config(path, seed_override: Optional[int] = None,
         n_paths = paths_override
     if out_override is not None:
         out = out_override
+    try:
+        oracle_mc.McConfig(n_paths=n_paths, seed=seed, horizon=maturity - valuation)
+    except ValueError as exc:
+        raise ConfigError(f"[mc] {exc}") from exc
 
     canon = []
     for section in sorted(cp.sections()):

@@ -46,8 +46,6 @@ __all__ = [
 
 _GENERATOR = "numpy.random.Philox"
 _N_BATCHES = 64
-# paths per block of the I2 payoff matrix (bounds its memory, not its result)
-_I2_CHUNK = 50_000
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,8 @@ class McConfig:
         if self.n_paths < 10_000:
             raise ValueError("n_paths must be at least 10000 for a "
                              "reportable estimate")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
@@ -204,34 +204,58 @@ def _i2_nodes(measure) -> Tuple[np.ndarray, np.ndarray]:
     return _gl_panels([panels[0][0]] + [b for _, b in panels], leggauss(160))
 
 
+def _suffix_sums(c: np.ndarray) -> np.ndarray:
+    """S[k] = sum_{j >= k} c[j] for k = 0..m; S[m] = 0."""
+    out = np.zeros(c.size + 1)
+    out[:-1] = np.cumsum(c[::-1])[::-1]
+    return out
+
+
 def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimate:
     """I2 estimate: outer x-integral by fixed Gauss-Legendre quadrature over
     the path-averaged payoff difference, common random numbers across nodes.
 
-    The per-path aggregate Y_i = sum_j w_j [payoff_i(x_j)] (e^{x_j}-1) nu(x_j)
-    makes the standard error exact in the path dimension; the x-quadrature
-    error is estimated by dropping to every other node and reported
-    separately.
+    The per-path aggregate Y_i = sum_j coef_j [(s_i e^{x_j} - chi)^+ -
+    (s_i - chi)^+], with coef_j = w_j (e^{x_j} - 1) nu(x_j) and s_i = e^{L_i},
+    is piecewise linear in s_i:
+
+        Y_i = s_i A(t_i) - chi B(t_i) - C (s_i - chi)^+,  t_i = log(chi) - L_i,
+
+    where A(t) and B(t) are the sums of coef_j e^{x_j} and coef_j over the
+    nodes with x_j > t, and C is the sum of all coef_j.  With the nodes
+    sorted once, A and B are suffix sums read at one ``searchsorted`` index
+    per path, so the cost is O(n log m) for n paths and m nodes and the
+    memory O(n); no n-by-m payoff matrix is formed.
+
+    Y_i makes the standard error exact in the path dimension; the
+    x-quadrature error is estimated by dropping to every other node (the
+    half rule, with its own suffix sums) and reported separately.
     """
     measure = model.measure
     if measure.is_zero:
         return McI2Estimate(0.0, 0.0, 0.0)
     xs, ws = _i2_nodes(measure)
-    dens = measure.density(xs)
-    coef = ws * (np.exp(xs) - 1.0) * dens            # full rule
+    coef = ws * (np.exp(xs) - 1.0) * measure.density(xs)   # full rule
     coef_h = coef.copy()
     coef_h[::2] = 0.0                                # half rule (odd nodes, reweighted)
     coef_h *= 2.0
-    L = sample.log_returns
-    n = L.size
-    y_full = np.empty(n)
-    y_half = np.empty(n)
+    order = np.argsort(xs)
+    xs, coef, coef_h = xs[order], coef[order], coef_h[order]
     ex = np.exp(xs)
-    for start in range(0, n, _I2_CHUNK):
-        s = np.exp(L[start:start + _I2_CHUNK])[:, None]
-        payoff = np.maximum(s * ex[None, :] - chi, 0.0) - np.maximum(s - chi, 0.0)
-        y_full[start:start + _I2_CHUNK] = payoff @ coef
-        y_half[start:start + _I2_CHUNK] = payoff @ coef_h
+    L = sample.log_returns
+    k = np.searchsorted(xs, math.log(chi) - L, side="right")
+    s = np.exp(L)
+    itm = np.maximum(s - chi, 0.0)
+
+    def aggregate(c: np.ndarray) -> np.ndarray:
+        a, b = _suffix_sums(c * ex), _suffix_sums(c)
+        y = s * a[k]
+        y -= chi * b[k]
+        y -= b[0] * itm
+        return y
+
+    y_full = aggregate(coef)
+    y_half = aggregate(coef_h)
     est = _mean_se(y_full)
     x_err = abs(float(y_full.mean() - y_half.mean()))
     return McI2Estimate(est.value, est.se, x_err)

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from levyhedge import (
     FourierConfig,
+    call_price,
     char_fn,
     mmm_cumulant,
     mmm_cumulant_quad,
@@ -151,7 +152,6 @@ def test_criterion_4_monte_carlo_agreement(setup):
             z = abs(transform("tail", phi, chi, cfg).value - e.value) / max(e.se, floor)
             worst_z = max(worst_z, z)
             e = price_from_sample(sample, chi)
-            from levyhedge import call_price
             z = abs(call_price(phi, 1.0, chi, cfg) - e.value) / max(e.se, floor)
             worst_z = max(worst_z, z)
             e2 = i2_from_sample(m, sample, chi)

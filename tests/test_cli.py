@@ -210,6 +210,20 @@ def test_verify_bs(bs_ini, capsys):
     assert "all within 3 SE" in out
 
 
+@pytest.mark.parametrize("args", [["--paths", "5000"], ["--seed", "-1"]])
+def test_verify_bad_mc_flags_are_config_errors(bs_ini, capsys, args):
+    assert main(["verify", "--config", str(bs_ini)] + args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: [mc] ")
+
+
+@pytest.mark.parametrize("key, value", [("n_paths", "5000"), ("seed", "-1")])
+def test_bad_mc_section_is_config_error(tmp_path, capsys, key, value):
+    ini = tmp_path / "mc.ini"
+    ini.write_text(BS_INI.split("[mc]")[0] + f"[mc]\n{key} = {value}\n")
+    assert main(["verify", "--config", str(ini)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: [mc] ")
+
+
 def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
                                                        cfg, monkeypatch):
     # the tail_lower row is 1 - tail_upper, not a second tail transform

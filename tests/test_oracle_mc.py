@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from levyhedge import LevyModel, ZeroMeasure, call_price, to_mmm, transform
 from levyhedge.benchmarks import HORIZON
 from levyhedge.oracle_mc import (
     McConfig,
+    McSample,
+    _i2_nodes,
     i1_from_sample,
     i2_from_sample,
     price_from_sample,
@@ -106,6 +110,56 @@ def test_mc_i2_small_chi_approaches_c2(vg_mmm):
     assert abs(est.value - vg_mmm.c2) <= 3.0 * est.se + est.x_quad_err + 1e-6
 
 
+def _i2_dense(model, sample, chi):
+    """Reference I2 estimator: the explicit paths-by-nodes payoff matrix
+    that ``i2_from_sample`` sums in closed form (value, SE, x_quad_err)."""
+    xs, ws = _i2_nodes(model.measure)
+    coef = ws * (np.exp(xs) - 1.0) * model.measure.density(xs)
+    coef_h = coef.copy()
+    coef_h[::2] = 0.0
+    coef_h *= 2.0
+    s = np.exp(sample.log_returns)[:, None]
+    payoff = np.maximum(s * np.exp(xs)[None, :] - chi, 0.0) - np.maximum(s - chi, 0.0)
+    y_full, y_half = payoff @ coef, payoff @ coef_h
+    se = y_full.std(ddof=1) / math.sqrt(y_full.size)
+    return y_full.mean(), se, abs(y_full.mean() - y_half.mean())
+
+
+@pytest.mark.parametrize("family", ["merton_mmm", "vg_mmm"])
+def test_i2_suffix_sums_match_dense_estimator(family, request):
+    model = request.getfixturevalue(family)
+    mcfg = McConfig(n_paths=20_000, seed=17, horizon=HORIZON)
+    sample = simulate_log_returns(model, mcfg)
+    cases = [(sample, chi) for chi in (1e-3, 0.5, 0.9037, 1.0, 1.1891, 3.0)]
+    # chi = 1 with L = -x_j puts log(chi) - L exactly on node x_j (a tie
+    # between the payoff kink and a node); the other paths are ordinary draws
+    xs, _ = _i2_nodes(model.measure)
+    L = simulate_log_returns(model, replace(mcfg, seed=5)).log_returns
+    L[:xs.size] = -xs
+    assert np.array_equal(math.log(1.0) - L[:xs.size], xs)
+    tied = McSample(log_returns=L, horizon=HORIZON, seed=5, method="tied")
+    cases.append((tied, 1.0))
+    for smp, chi in cases:
+        est = i2_from_sample(model, smp, chi)
+        ref = _i2_dense(model, smp, chi)
+        for got, want in zip((est.value, est.se, est.x_quad_err), ref):
+            assert abs(got - want) <= 1e-15 + 1e-12 * abs(want), (chi, got, want)
+
+
+def test_i2_memory_is_linear_in_paths(vg_mmm):
+    # a paths-by-nodes matrix would need 200000 * 640 * 8 B = 1 GB; the
+    # suffix-sum form needs a few path-length arrays (1.6 MB each)
+    sample = simulate_log_returns(vg_mmm, McConfig(n_paths=200_000, seed=2,
+                                                   horizon=HORIZON))
+    tracemalloc.start()
+    try:
+        i2_from_sample(vg_mmm, sample, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # 3-standard-error agreement with the Fourier engine
 # ---------------------------------------------------------------------------
@@ -128,7 +182,6 @@ def test_fourier_inside_mc_bands(merton_mmm, phi_merton, vg_mmm, phi_vg,
 
 def test_negative_control_wrong_drift_breaks_martingale(merton_mmm):
     # shifting the drift must push mean(e^L) well outside its 3-SE band
-    from dataclasses import replace
     wrong = replace(merton_mmm, drift_star=merton_mmm.drift_star + 0.02)
     s = simulate_log_returns(wrong, FAST)
     assert _martingale_z(s) > 10.0
