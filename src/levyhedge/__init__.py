@@ -1,7 +1,7 @@
 """Locally risk-minimizing and delta hedging strategies for exponential
-Levy models, with damped Fourier transforms evaluated by adaptive
-quadrature, model-independent error bounds, Monte Carlo cross-validation,
-and quote calibration."""
+Levy models, with damped Fourier transforms evaluated by a fixed-node batch
+engine (adaptive quadrature is the reference oracle), model-independent
+error bounds, Monte Carlo cross-validation, and quote calibration."""
 
 from .levy_core import (
     AccuracyError,
@@ -35,9 +35,11 @@ from .fourier import (
     FourierConfig,
     FourierResult,
     call_price,
+    call_prices,
     char_fn,
     theorem4_condition_integral,
     transform,
+    transform_batch,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Calibration of Merton / variance-gamma parameters to call quotes.
 
-Model prices are MMM expectations E*[(S_T - K)^+] at zero rates, priced one
-expiry at a time on the fixed-node grid ``fourier._PricingGrid``.  The fit
+Model prices are MMM expectations E*[(S_T - K)^+] at zero rates, from the
+"price" kind of the fixed-node batch engine (``fourier.call_prices``): one
+cumulant evaluation per parameter set, on nodes shared by every expiry,
+within about 1e-14 of spot of the adaptive ``call_price``.  The fit
 minimizes the RMSE between model and mid prices with a derivative-free
 Nelder-Mead search (restarted once) over transformed parameters, plus a
 quadratic penalty for the structural constraints:
@@ -27,8 +29,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 from scipy.optimize import minimize
 
-from .fourier import FourierConfig, _PricingGrid
-from .levy_core import AssumptionError, c2_split, compute_mu_s, to_mmm
+from .fourier import FourierConfig, call_prices
+from .levy_core import AccuracyError, AssumptionError, c2_split, compute_mu_s, to_mmm
 from .models import (
     MertonParams,
     VgParams,
@@ -151,23 +153,27 @@ def write_quotes(path, qs: QuoteSet) -> None:
 # pricing
 # ---------------------------------------------------------------------------
 
-def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig) -> np.ndarray:
+def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig,
+                cache: Optional[dict] = None) -> np.ndarray:
     model = to_mmm(build_model(params))
     out = np.empty(len(qs.quotes))
     by_expiry: Dict[float, List[int]] = {}
     for idx, q in enumerate(qs.quotes):
         by_expiry.setdefault(q.expiry, []).append(idx)
-    for expiry, idxs in by_expiry.items():
-        grid = _PricingGrid(model, expiry, cfg)
-        strikes = np.array([qs.quotes[i].strike for i in idxs])
-        out[np.array(idxs)] = grid.prices(qs.spot, strikes)
+    strikes = [np.array([qs.quotes[i].strike for i in idxs])
+               for idxs in by_expiry.values()]
+    prices = call_prices(model, qs.spot, list(by_expiry), strikes, cfg, cache)
+    for idxs, p in zip(by_expiry.values(), prices):
+        out[np.array(idxs)] = p
     return out
 
 
-def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig) -> float:
-    """Root-mean-squared error of model prices against mid quotes."""
+def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig,
+         cache: Optional[dict] = None) -> float:
+    """Root-mean-squared error of model prices against mid quotes;
+    ``cache`` as in ``fourier.call_prices``."""
     mids = np.array([q.mid for q in qs.quotes])
-    prices = _prices_for(params, qs, cfg)
+    prices = _prices_for(params, qs, cfg, cache)
     return float(np.sqrt(np.mean((prices - mids) ** 2)))
 
 
@@ -247,14 +253,15 @@ def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
     if decode is None:
         raise TypeError(f"unsupported parameter record {type(init).__name__}")
 
-    mids = np.array([q.mid for q in qs.quotes])
-    scale = float(np.mean(mids))
+    scale = float(np.mean([q.mid for q in qs.quotes]))
+    cache: dict = {}
 
     def objective(theta: np.ndarray) -> float:
         params, viol = decode(theta)
         try:
-            err = rmse(params, qs, cfg)
-        except (AssumptionError, ValueError):
+            err = rmse(params, qs, cfg, cache)
+        except (AccuracyError, AssumptionError, ValueError):
+            # a trial point the engine cannot price counts as infeasible
             return 1e8 * scale
         return err + 1e6 * scale * viol * viol
 

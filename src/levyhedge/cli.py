@@ -8,9 +8,11 @@ Three verbs, all driven by an INI-style config (key = value with sections):
 
 Exit codes: 0 success, 1 invariant/verification failure, 2 configuration
 error.  CSV output is deterministic for a fixed config and starts with a
-'#'-prefixed digest of the resolved configuration.  Every transform is
-evaluated by adaptive quadrature; the only ``[fourier]`` key is ``alpha``,
-and any other key there is a configuration error.
+'#'-prefixed digest of the resolved configuration.  ``sweep`` and
+``verify`` take every transform from one call of the fixed-node batch
+engine ``fourier.transform_batch``, and ``calibrate`` prices with its
+"price" kind; the only ``[fourier]`` key is ``alpha``, and any other key
+there is a configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import hedging, oracle_mc
-from .fourier import FourierConfig, char_fn, transform
+from .fourier import FourierConfig, char_fn, transform_batch
 from .levy_core import (
     AssumptionError,
     LevyIntegrabilityError,
@@ -222,9 +224,19 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
                   mcfg: oracle_mc.McConfig) -> Tuple[List[dict], bool]:
     """Side-by-side Fourier vs Monte Carlo rows; pass = within 3 SE.
 
+    The Fourier column comes from one batch-engine call for all strikes.
     ``phi`` is injectable so a deliberately mis-specified characteristic
     function shows up as a martingale/band failure.
     """
+    fourier = transform_batch(("i1", "tail", "price", "i2"), phi, chis, fcfg,
+                              model=mmm)
+
+    def value(kind: str, i: int) -> float:
+        res = fourier[kind][i]
+        if isinstance(res, Exception):
+            raise res
+        return res.value
+
     sample = oracle_mc.simulate_log_returns(mmm, mcfg)
     rows: List[dict] = []
     eL = np.exp(sample.log_returns)
@@ -232,19 +244,17 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
     rows.append({"chi": "", "quantity": "martingale mean(e^L)",
                  "fourier": 1.0, "mc": float(eL.mean()), "se": se,
                  "z": (float(eL.mean()) - 1.0) / se})
-    for chi in chis:
-        tu = transform("tail", phi, chi, fcfg).value
+    for i, chi in enumerate(chis):
+        tu = value("tail", i)
         tl = oracle_mc.tail_upper_from_sample(sample, chi)
         pairs = [
-            ("i1", transform("i1", phi, chi, fcfg).value,
-             oracle_mc.i1_from_sample(sample, chi)),
+            ("i1", value("i1", i), oracle_mc.i1_from_sample(sample, chi)),
             ("tail_upper", tu, tl),
             ("tail_lower", 1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
-            ("price", transform("price", phi, chi, fcfg).value,
-             oracle_mc.price_from_sample(sample, chi)),
+            ("price", value("price", i), oracle_mc.price_from_sample(sample, chi)),
         ]
         e2 = oracle_mc.i2_from_sample(mmm, sample, chi)
-        v2 = transform("i2", phi, chi, fcfg, model=mmm).value
+        v2 = value("i2", i)
         band2 = max(e2.se + e2.x_quad_err, 1e-15)
         pairs.append(("i2", v2, oracle_mc.McEstimate(e2.value, band2)))
         # zero-variance (all-identical) draws get the rule-of-three floor 1/n

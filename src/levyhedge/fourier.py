@@ -6,30 +6,47 @@ Every quantity here is an integral of the form
     k = log(moneyness),
 
 where psi carries the MMM characteristic function phi_tau(v - i*alpha) and a
-kind-specific rational factor.  Each transform is evaluated per moneyness
-by adaptive quadrature, in two parts:
+kind-specific rational factor, in two parts:
 
 * a "head" over [0, _V_MAX] (_V_MAX = 409.6);
-* an analytic "tail" beyond _V_MAX.  Diffusive models (sigma > 0) decay like
-  a Gaussian and the head is simply extended; pure-jump models decay only
-  algebraically (|phi| ~ v^{-q} with q possibly < 1), so the tail integral
-  is taken down a rotated contour _V_MAX -+ i*s where the integrand decays
-  exponentially.  Skipping the tail can leave absolute errors of order 1e-2
-  for short horizons, far above the tolerances used here.
+* a "tail" beyond _V_MAX.  Diffusive models (sigma > 0) decay like a
+  Gaussian and the head is simply extended to the Gaussian cutoff; pure-jump
+  models decay only algebraically (|phi| ~ v^{-q} with q possibly < 1), so
+  the tail integral is taken down a rotated contour _V_MAX -+ i*s where the
+  integrand decays like e^{-s |k - carrier|}.  Skipping the tail can leave
+  absolute errors of order 1e-2 for short horizons.
 
-``transform`` is that per-moneyness reference.  The fixed-node grid that
-calibration prices with (``_PricingGrid``) lives here too: it samples the
-same "price" integrand once per expiry on Gauss-Legendre panels, and the
-rotated contour on a fixed s-grid, and prices a whole strike vector at once.
-Only this module knows the integrands, prefactors, Gaussian cutoff and
-contour directions.
+Two evaluators share those integrands:
+
+* ``transform_batch``, the production engine (``call_prices`` is its
+  "price" kind for calibration).  It samples phi once on fixed
+  Gauss-Legendre panels -- graded toward v = 0, then at most 24 wide -- and
+  on geometric s-panels of both contours, and prices every kind at every
+  moneyness from those samples.  At k = carrier the contour integrand
+  decays only like s^-(1 + 2 C tau); past the last node the engine adds the
+  closed-form integral of its 1/w-series asymptote.  err_est is the
+  prefactor times the sum over panels of |32-node - 16-node rule| plus a
+  rounding budget and the last asymptote term.
+* ``transform``, adaptive QUADPACK at one moneyness: the reference oracle
+  of the tests and of the benchmark gates, and the only source of the
+  QUADPACK flags (``head``, ``head-osc``, ``tail``, ``tail-osc``,
+  ``tail-rot``, ``tail-uncontinued``).
+
+Both apply the same checks to each result: the ``alpha-fallback`` of the
+tail kind in a narrow strip, StripError for other kinds, ``clamped`` for
+values just outside a kind's range, and AccuracyError for a value or error
+estimate that is not finite or an error estimate above 1e-5.  Only this
+module knows the integrands, prefactors, Gaussian cutoff and contour
+directions.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -50,7 +67,9 @@ __all__ = [
     "ConditionIntegral",
     "char_fn",
     "transform",
+    "transform_batch",
     "call_price",
+    "call_prices",
     "theorem4_condition_integral",
 ]
 
@@ -91,7 +110,10 @@ class CharFn:
     carrier    -- asymptotic linear phase rate of log phi along the real
                   axis, tau*(b* - m1*); 0 for subordinated pure-jump models;
     fn_analytic-- analytic continuation usable at complex v off the strip,
-                  present only for closed-form models.
+                  present only for closed-form models;
+    asymptote  -- for pure-jump models whose jump transform is a sum of
+                  logarithms (variance gamma), a callable returning the
+                  1/w-series of log phi on the rotated contours.
     """
 
     fn: Callable
@@ -100,6 +122,7 @@ class CharFn:
     sigma: float
     carrier: float = 0.0
     fn_analytic: Optional[Callable] = None
+    asymptote: Optional[Callable] = None
 
     @property
     def continuable(self) -> bool:
@@ -130,7 +153,8 @@ def char_fn(model: MmmModel, horizon: float) -> CharFn:
                             "phi(-i) = 1; the MMM transform is inconsistent")
     carrier = horizon * (model.drift_star - model.m1_star) if model.sigma == 0.0 else 0.0
     return CharFn(fn=fn, horizon=horizon, strip_im=model.strip(),
-                  sigma=model.sigma, carrier=carrier, fn_analytic=fn_analytic)
+                  sigma=model.sigma, carrier=carrier, fn_analytic=fn_analytic,
+                  asymptote=_asymptote_of(model, horizon))
 
 
 @dataclass(frozen=True)
@@ -161,30 +185,11 @@ class ConditionIntegral:
 def _make_psi(kind: str, phi: CharFn, alpha: float, model: Optional[MmmModel],
               analytic: bool = False):
     f = phi.fn_analytic if analytic else phi.fn
-    if kind == "i1":
-        def psi(v):
-            return f(v - 1j * alpha) / (alpha - 1.0 + 1j * v)
-    elif kind == "tail":
-        def psi(v):
-            return f(v - 1j * alpha) / (alpha + 1j * v)
-    elif kind == "price":
-        def psi(v):
-            iv = 1j * v
-            return f(v - 1j * alpha) / ((alpha - 1.0 + iv) * (alpha + iv))
-    elif kind == "i2":
-        if model is None:
-            raise ValueError("i2 requires the MmmModel for the jump transform")
-        g = model.measure.exp_moment
-        check = not analytic
+    _check_kind(kind, model)
 
-        def psi(v):
-            iv = 1j * v
-            w = alpha + iv
-            # inner Levy transform of (e^{wx} - 1)(e^x - 1) over the base measure
-            inner = (g(w + 1.0, check=check) - g(w, check=check) - g(1.0))
-            return inner * f(v - 1j * alpha) / ((alpha - 1.0 + iv) * (alpha + iv))
-    else:
-        raise ValueError(f"unknown transform kind {kind!r}")
+    def psi(v):
+        return _kind_psi(kind, alpha, 1j * v, f(v - 1j * alpha), model,
+                         check=not analytic)
     return psi
 
 
@@ -307,20 +312,7 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
     estimate above the accuracy limit, raises AccuracyError."""
     if chi <= 0:
         raise ValueError(f"moneyness must be > 0, got {chi}")
-    a = cfg.alpha
-    flags: List[str] = []
-    lo, hi = phi.strip_im
-    if not (lo < -a < hi):
-        if kind == "tail":
-            # fall back to a damping line inside the strip
-            if not (lo < -1.0):
-                raise StripError(
-                    f"no damping line in (1, 2] fits the strip ({lo}, {hi})")
-            a = 0.5 * (1.0 + min(2.0, -lo - 1e-9))
-            flags.append(f"alpha-fallback:{a:.6g}")
-        else:
-            raise StripError(
-                f"damping line Im(z) = -{a} outside the strip ({lo}, {hi})")
+    a, flags = _damping(kind, phi, cfg.alpha)
 
     if kind == "i2" and model is not None and model.measure.is_zero:
         return FourierResult(0.0, 0.0, ())
@@ -330,8 +322,15 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
     head, err_h = _segment(psi, k, 0.0, _V_MAX, flags, "head")
     tail, err_t = _tail(kind, phi, model, a, k, _V_MAX, flags)
     pre = _prefactor(kind, a, k)
-    value = pre * (head + tail)
-    err = pre * (err_h + err_t)
+    return _result(kind, chi, pre * (head + tail), pre * (err_h + err_t), flags)
+
+
+def _result(kind: str, chi: float, value: float, err: float,
+            flags: List[str]) -> FourierResult:
+    """The checks every transform result passes: a value or error estimate
+    that is not finite, or an error estimate above the accuracy limit,
+    raises AccuracyError; a value just outside the kind's range is clamped.
+    """
     if not (math.isfinite(value) and math.isfinite(err)):
         raise AccuracyError(
             f"{kind} transform is not finite (value {value!r}, err estimate "
@@ -356,74 +355,421 @@ def call_price(phi: CharFn, spot: float, strike: float,
 
 
 # ---------------------------------------------------------------------------
-# fixed-node call pricer
+# fixed-node batch engine
 # ---------------------------------------------------------------------------
 
-def _gl_panels(edges, rule) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a Gauss-Legendre ``rule`` on each panel."""
-    xg, wg = rule
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (hi - lo) * xg + 0.5 * (lo + hi))
-        weights.append(0.5 * (hi - lo) * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+# head panel edges graded toward v = 0 for alpha = 1.75, scaled by
+# (alpha - 1) / 0.75, so that the panels resolve the poles of the kind
+# factors at i(alpha - 1) and i*alpha; 24-wide panels follow
+_HEAD_GRADING = (0.5, 1.5, 3.5, 7.5, 15.5, 24.0)
+_HEAD_WIDTH = 24.0
+# |log-moneyness| up to which _HEAD_WIDTH holds; beyond it the head panels
+# narrow in proportion, so e^{-ivk} turns by the same angle per panel
+_WIDTH_K = 0.75
+# rotated-contour s-panels: geometric from _S_FIRST by _S_RATIO up to
+# _S_END, or to where e^{s |carrier|} reaches e^_S_EXP, whichever is first
+_S_FIRST, _S_RATIO, _S_END, _S_EXP = 0.5, 1.6, 2.0e5, 600.0
+# a contour strike whose decay e^{-s |k - carrier|} keeps more than e^-_S_DECAY
+# at the last node gets the closed-form asymptote past it
+_S_DECAY = 40.0
+# terms of the 1/w series of that asymptote
+_ASYM_TERMS = 16
+# rounding budget of a node sum, per unit of the sum of its |terms|
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
-class _PricingGrid:
-    """Vectorized call pricer for one expiry (the calibration fast path).
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    return leggauss(n)
 
-    Head: fixed Gauss-Legendre panels over [0, v_end], one shared vector of
-    "price" integrand samples priced against all strikes at once.
-    Pure-jump models add the rotated-contour tail, likewise on a fixed
-    geometric s-grid shared across strikes.  Accuracy is a few 1e-4 in
-    price units on index-level spots, validated against call_price.
+
+def _panel_rule(edges, errors: bool = False, n: int = 32):
+    """Gauss-Legendre rule on each panel as (panels, m) arrays of nodes,
+    weights and error weights.  Each panel holds the n nodes of the value
+    rule; with ``errors`` (n = 32) also the 16 of the nested rule, and the
+    error weights give the 32-node minus the 16-node sum (None without)."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    x, w = _legendre(n)
+    if not errors:
+        return mid + half * x, half * w, None
+    x16, w16 = _legendre(16)
+    nodes = mid + half * np.concatenate([x, x16])
+    return (nodes, half * np.concatenate([w, np.zeros(16)]),
+            half * np.concatenate([w, -w16]))
+
+
+def _check_kind(kind: str, model: Optional[MmmModel]) -> None:
+    if kind not in ("i1", "tail", "price", "i2"):
+        raise ValueError(f"unknown transform kind {kind!r}")
+    if kind == "i2" and model is None:
+        raise ValueError("i2 requires the MmmModel for the jump transform")
+
+
+def _kind_psi(kind: str, alpha: float, iv, phi_v, model: Optional[MmmModel],
+              check: bool = True):
+    """phi times the rational factor of each kind at w = iz = alpha + iv;
+    i2's factor holds the jump transform of (e^{wx} - 1)(e^x - 1) against
+    the base measure."""
+    if kind == "i1":
+        return phi_v / (alpha - 1.0 + iv)
+    if kind == "tail":
+        return phi_v / (alpha + iv)
+    if kind == "price":
+        return phi_v / ((alpha - 1.0 + iv) * (alpha + iv))
+    g = model.measure.exp_moment
+    w = alpha + iv
+    inner = g(w + 1.0, check=check) - g(w, check=check) - g(1.0)
+    return inner * phi_v / ((alpha - 1.0 + iv) * (alpha + iv))
+
+
+def _log1p_series(x: complex) -> np.ndarray:
+    """Coefficients of log(1 + x u) in powers u^0 .. u^_ASYM_TERMS."""
+    n = np.arange(1, _ASYM_TERMS + 1)
+    return np.concatenate([[0.0], -(-x) ** n / n]).astype(complex)
+
+
+def _exp_series(h: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(h(u)) for a series h with h(0) = 0."""
+    e = np.zeros_like(h)
+    e[0] = 1.0
+    for n in range(1, h.size):
+        j = np.arange(1, n + 1)
+        e[n] = np.dot(j * h[j], e[n - j]) / n
+    return e
+
+
+def _asymptote_of(model: MmmModel, horizon: float) -> Optional[Callable]:
+    """The ``CharFn.asymptote`` of a model: None unless it is pure-jump with
+    a measure of ``log_terms``; computed only when a strike needs it."""
+    if model.sigma != 0.0 or not getattr(model.measure, "log_terms", None):
+        return None
+    return functools.partial(_contour_asymptote, model, horizon)
+
+
+def _contour_asymptote(model: MmmModel, horizon: float):
+    """(K0, p, h) with log phi(z) - w*carrier = K0 - p log w + sum_n h_n w^-n
+    on the rotated contours (w = iz, Im w > 0, |w| >= _V_MAX), for a
+    measure whose exp_moment is a sum of c (log a - log(a + s w)) terms.
+    Each log(a + s w) splits into log w - i pi [s < 0] + log(1 + a/(s w))."""
+    terms = model.measure.log_terms
+    beta = model.beta
+    k0 = beta * complex(model.measure.exp_moment(1.0))
+    h = np.zeros(_ASYM_TERMS + 1, dtype=complex)
+    for c, a, s in terms:
+        k0 += c * (math.log(a) + (1j * math.pi if s < 0 else 0.0))
+        h -= c * ((1.0 + beta) * _log1p_series(a / s)
+                  - beta * _log1p_series((a + s) / s))
+    return (horizon * k0, horizon * sum(c for c, _, _ in terms), horizon * h)
+
+
+def _kind_series(kind: str, model: Optional[MmmModel]) -> np.ndarray:
+    """The kind factor as a series in u = 1/w."""
+    n = _ASYM_TERMS + 1
+    geometric = np.concatenate([[0.0], np.ones(n - 1)])       # u / (1 - u)
+    if kind == "i1":
+        return geometric.astype(complex)
+    if kind == "tail":
+        return np.eye(n, dtype=complex)[1]
+    price = np.concatenate([[0.0], geometric[:-1]]).astype(complex)
+    if kind == "price":
+        return price
+    inner = np.zeros(n, dtype=complex)
+    inner[0] = -complex(model.measure.exp_moment(1.0))
+    for c, a, s in model.measure.log_terms:
+        inner += c * (_log1p_series(a / s) - _log1p_series((a + s) / s))
+    return np.convolve(inner, price)[:n]
+
+
+def _asymptote_tail(kind: str, phi: CharFn, model: Optional[MmmModel],
+                    alpha: float, k: float, s_end: float) -> Tuple[complex, float]:
+    """Contour integral past s_end of the closed-form asymptote of the
+    integrand, before rotation, and the size of its last series term.
+
+    On the contour the integrand is e^{alpha k - (k - carrier) w} F(w)
+    phi-part, and the phi-part is w^-p times a series in 1/w.  At k =
+    carrier each power integrates in closed form; otherwise the factor
+    e^{-|k - carrier| s} is integrated on geometric s-panels until it has
+    decayed.
+    """
+    k0, p, h = phi.asymptote()
+    b = np.convolve(_kind_series(kind, model), _exp_series(h))[:_ASYM_TERMS + 1]
+    n = np.arange(_ASYM_TERMS + 1)
+    delta = k - phi.carrier
+    start = complex(alpha, _V_MAX) + (s_end if delta >= 0.0 else -s_end)
+    scale = cmath.exp(alpha * k + k0 - delta * start)
+    last = abs(scale * b[-1] * start ** (1.0 - p - n[-1]) / (p + n[-1] - 1.0))
+    if delta == 0.0:
+        terms = b[1:] * start ** (1.0 - p - n[1:]) / (p + n[1:] - 1.0)
+        return scale * terms.sum(), last
+    span = math.log2(1.0 + 1.5 * _S_DECAY / (abs(delta) * s_end))
+    edges = s_end * 2.0 ** np.arange(min(math.ceil(span), 1000) + 1)
+    s, ws, _ = _panel_rule(edges)
+    w = complex(alpha, _V_MAX) + (s if delta > 0.0 else -s)
+    f = np.exp(alpha * k + k0 - delta * w - p * np.log(w)) \
+        * np.polynomial.polynomial.polyval(1.0 / w, b)
+    return (ws * f).sum(), last
+
+
+class _Nodes:
+    """The fixed nodes of the engine for one damping line.
+
+    Head: Gauss-Legendre panels over [0, v_end], graded toward v = 0, then
+    at most _HEAD_WIDTH wide.  Pure-jump models add the two rotated
+    contours _V_MAX -+ i s on shared geometric s-panels over [0, s_end].
+    ``paths`` lists (name, v, weights, error weights, rotation) with v the
+    (panels, m) array of transform variables; phi is sampled at v - i alpha.
     """
 
-    _GL32 = leggauss(32)
-    _GL16 = leggauss(16)
+    def __init__(self, alpha: float, v_end: float, s_end: Optional[float],
+                 k_max: float, errors: bool):
+        self.alpha = alpha
+        self.s_end = s_end
+        width = _HEAD_WIDTH * min(1.0, _WIDTH_K / max(k_max, 1e-300))
+        graded = np.array(_HEAD_GRADING) * (alpha - 1.0) / 0.75
+        edges = [0.0]
+        for hi in np.concatenate([graded, [v_end]]):
+            n = math.ceil((hi - edges[-1]) / width)
+            edges += list(np.linspace(edges[-1], hi, n + 1)[1:])
+        self.edges = np.array(edges)
+        v, w, d = _panel_rule(self.edges, errors)
+        self.paths = [("head", v, w, d, 1.0)]
+        if s_end is not None:
+            geo = _S_FIRST * _S_RATIO ** np.arange(
+                math.ceil(math.log(max(s_end, _S_FIRST) / _S_FIRST)
+                          / math.log(_S_RATIO)))
+            s, ws, ds = _panel_rule(
+                np.concatenate([[0.0], geo[geo < s_end], [s_end]]), errors)
+            self.paths += [("down", _V_MAX - 1j * s, ws, ds, -1j),
+                           ("up", _V_MAX + 1j * s, ws, ds, 1j)]
 
-    def __init__(self, model: MmmModel, expiry: float, cfg: FourierConfig):
-        self.alpha = cfg.alpha
-        phi = char_fn(model, expiry)
-        if phi.sigma > 0.0:
-            v_end = max(_gauss_cutoff(phi, self.alpha), 64.0)
-        elif not phi.continuable:
-            raise NotImplementedError(
-                "fast pricing of pure-jump models needs a closed-form "
-                "characteristic function")
-        else:
-            v_end = _V_MAX
-        # head panels of bounded width so moderate log-strikes stay resolved
-        self.v, w = _gl_panels(np.append(np.arange(0.0, v_end, 24.0), v_end),
-                               self._GL32)
-        self.wpsi = w * _make_psi("price", phi, self.alpha, None)(self.v)
-        # (rotation, contour nodes, weighted samples), downward then upward
-        self.contours = ()
-        if phi.sigma == 0.0:
-            s_edges = [0.0]
-            s = 0.5
-            while s < 2.0e5:
-                s_edges.append(s)
-                s *= 1.6
-            s, sw = _gl_panels(s_edges, self._GL16)
-            psi = _make_psi("price", phi, self.alpha, None, analytic=True)
-            self.contours = tuple((rot, vz, sw * psi(vz)) for rot, vz in
-                                  ((-1j, v_end - 1j * s), (1j, v_end + 1j * s)))
-            self.carrier = phi.carrier
+    def head_panels(self, v_end: float) -> int:
+        """Number of head panels up to the first that reaches v_end."""
+        return int(np.searchsorted(self.edges[1:], v_end) + 1)
 
-    def prices(self, spot: float, strikes: np.ndarray) -> np.ndarray:
-        strikes = np.asarray(strikes, dtype=float)
-        k = np.log(strikes / spot)
-        head = (np.exp(-1j * np.outer(k, self.v)) * self.wpsi).sum(axis=1).real
-        if self.contours:
-            tail = np.empty_like(k)
-            down = k >= self.carrier
-            for (rot, vz, wpsi), sel in zip(self.contours, (down, ~down)):
-                if np.any(sel):
-                    ph = np.exp(-1j * np.outer(k[sel], vz)) * wpsi
-                    tail[sel] = (rot * ph.sum(axis=1)).real
-            head = head + tail
-        return spot * np.exp((1.0 - self.alpha) * k) / math.pi * head
+    def sample(self, phi: CharFn):
+        """phi at every node: fn on the head, the continuation on the
+        contours."""
+        out = [phi.fn(self.paths[0][1] - 1j * self.alpha)]
+        if self.s_end is not None:
+            if not phi.continuable:
+                raise NotImplementedError(
+                    "the engine's contour tail needs a closed-form "
+                    "characteristic function")
+            out += [phi.fn_analytic(v - 1j * self.alpha)
+                    for _, v, _, _, _ in self.paths[1:]]
+        return out
+
+    def integrate(self, kind: str, samples, k: np.ndarray, carrier: float,
+                  model: Optional[MmmModel], phases=None,
+                  n_head: Optional[int] = None):
+        """Re of integral_0^inf e^{-ivk} psi(v) dv per log-moneyness k, and
+        the sum of the per-panel error estimates (zero without the nested
+        rule).
+
+        Strikes with k >= carrier take the downward contour, the others the
+        upward one.  ``phases`` caches e^{-ivk} on every node across calls
+        with the same k; ``n_head`` keeps only the first head panels
+        (``samples[0]`` holds just theirs).
+        """
+        down = k >= carrier
+        value = np.zeros(k.size)
+        err = np.zeros(k.size)
+        for (name, v, w, d, rot), phi_v in zip(self.paths, samples):
+            sel = (slice(None) if name == "head"
+                   else down if name == "down" else ~down)
+            kk = k[sel]
+            if kk.size == 0:
+                continue
+            ph = None if phases is None else phases.get(name)
+            if ph is None:
+                ph = np.multiply.outer(-1j * kk, v)
+                np.exp(ph, out=ph)
+                if phases is not None:
+                    phases[name] = ph
+            if name == "head" and n_head is not None:
+                v, w, ph = v[:n_head], w[:n_head], ph[:, :n_head]
+                d = None if d is None else d[:n_head]
+            f = _kind_psi(kind, self.alpha, 1j * v, phi_v, model,
+                          check=name == "head")
+            wf = w * f
+            value[sel] += (rot * np.einsum("spm,pm->s", ph, wf)).real
+            if d is not None:
+                # |e^{-ivk}| = 1 on the head
+                mag = (np.abs(wf).sum() if name == "head" else
+                       np.einsum("spm,pm->s", np.abs(ph), np.abs(wf)))
+                err[sel] += (np.abs(np.einsum("spm,pm->sp", ph, d * f)).sum(axis=1)
+                             + _ROUNDING * mag)
+        return value, err
+
+
+def _node_range(phi: CharFn, alpha: float) -> Tuple[float, Optional[float]]:
+    """Head end and contour end (None for a diffusive model) of phi.  A
+    diffusive head ends on the first multiple of _HEAD_WIDTH past the graded
+    panels that reaches the Gaussian cutoff, so nearby cutoffs share nodes."""
+    if phi.sigma > 0.0:
+        graded = _HEAD_GRADING[-1] * (alpha - 1.0) / 0.75
+        cut = max(_V_MAX, _gauss_cutoff(phi, alpha))
+        return graded + _HEAD_WIDTH * math.ceil((cut - graded) / _HEAD_WIDTH), None
+    if phi.carrier == 0.0:
+        return _V_MAX, _S_END
+    return _V_MAX, min(_S_END, _S_EXP / abs(phi.carrier))
+
+
+def _tails(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
+           k: np.ndarray, s_end: Optional[float]):
+    """Asymptote contributions past the contour's last node, for the strikes
+    whose contour integrand has not decayed there; a strike that needs one
+    without a closed-form asymptote gets NaN, so it fails its checks."""
+    value = np.zeros(k.size)
+    err = np.zeros(k.size)
+    if s_end is None:
+        return value, err
+    for i in np.flatnonzero(np.abs(k - phi.carrier) * s_end < _S_DECAY):
+        if phi.asymptote is None:
+            value[i] = err[i] = math.nan
+            continue
+        tail, last = _asymptote_tail(kind, phi, model, alpha, k[i], s_end)
+        rot = -1j if k[i] >= phi.carrier else 1j
+        value[i] = (rot * tail).real
+        err[i] = last
+    return value, err
+
+
+def _damping(kind: str, phi: CharFn, alpha: float) -> Tuple[float, List[str]]:
+    """The damping line of a kind and its flags; only the tail falls back
+    to a line inside a narrow strip, the other kinds raise StripError."""
+    lo, hi = phi.strip_im
+    if lo < -alpha < hi:
+        return alpha, []
+    if kind == "tail":
+        if not (lo < -1.0):
+            raise StripError(
+                f"no damping line in (1, 2] fits the strip ({lo}, {hi})")
+        a = 0.5 * (1.0 + min(2.0, -lo - 1e-9))
+        return a, [f"alpha-fallback:{a:.6g}"]
+    raise StripError(
+        f"damping line Im(z) = -{alpha} outside the strip ({lo}, {hi})")
+
+
+def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
+                    cfg: FourierConfig, model: Optional[MmmModel] = None
+                    ) -> Dict[str, Tuple[Union[FourierResult, Exception], ...]]:
+    """Every transform of ``kinds`` at every moneyness, from one set of
+    fixed nodes.
+
+    phi is sampled once per damping line; each kind multiplies the samples
+    by its own rational factor, and e^{-ivk} is shared across kinds.  Each
+    entry is the FourierResult of one moneyness, checked as ``transform``
+    checks its result, or the exception that moneyness raised (an
+    AccuracyError for a value or error estimate that is not finite or an
+    error estimate above the accuracy limit); an exception of a whole kind
+    (StripError) fills every entry of that kind.  err_est is the prefactor
+    times the sum over panels of |32-node - 16-node|, plus a rounding
+    budget and the size of the last asymptote term.
+    """
+    chis = np.asarray(chis, dtype=float)
+    if np.any(chis <= 0):
+        raise ValueError("moneyness must be > 0")
+    k = np.log(chis)
+    out: Dict[str, Tuple[Union[FourierResult, Exception], ...]] = {}
+    lines: Dict[float, List[Tuple[str, List[str]]]] = {}
+    for kind in kinds:
+        _check_kind(kind, model)
+        try:
+            a, flags = _damping(kind, phi, cfg.alpha)
+        except StripError as exc:
+            out[kind] = (exc,) * k.size
+            continue
+        if kind == "i2" and model.measure.is_zero:
+            out[kind] = (FourierResult(0.0, 0.0, ()),) * k.size
+            continue
+        lines.setdefault(a, []).append((kind, flags))
+    for a, group in lines.items():
+        v_end, s_end = _node_range(phi, a)
+        nodes = _Nodes(a, v_end, s_end, float(np.abs(k).max(initial=0.0)),
+                       errors=True)
+        try:
+            samples = nodes.sample(phi)
+        except NotImplementedError as exc:
+            for kind, _ in group:
+                out[kind] = (exc,) * k.size
+            continue
+        phases: Dict[str, np.ndarray] = {}
+        for kind, flags in group:
+            value, err = nodes.integrate(kind, samples, k, phi.carrier,
+                                         model, phases)
+            tail, tail_err = _tails(kind, phi, model, a, k, s_end)
+            pre = [_prefactor(kind, a, x) for x in k]
+            out[kind] = tuple(
+                _checked(kind, float(c), float(p * (v + t)), float(p * (e + te)),
+                         list(flags))
+                for c, p, v, t, e, te in zip(chis, pre, value, tail, err, tail_err))
+    return {kind: out[kind] for kind in kinds}
+
+
+def _checked(kind: str, chi: float, value: float, err: float,
+             flags: List[str]) -> Union[FourierResult, AccuracyError]:
+    try:
+        return _result(kind, chi, value, err, flags)
+    except AccuracyError as exc:
+        return exc
+
+
+def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
+                strikes: Sequence[np.ndarray], cfg: FourierConfig,
+                cache: Optional[dict] = None) -> List[np.ndarray]:
+    """Zero-rate call prices E*[(S_tau - K)^+] of one model at several
+    expiries, ``strikes[j]`` at ``expiries[j]``: the engine's "price" kind
+    without error estimates.
+
+    The MMM cumulant Psi is sampled once on nodes shared by every expiry,
+    and phi_tau = exp(tau Psi); for a diffusive model each expiry uses the
+    head panels up to its own Gaussian cutoff.  ``char_fn`` still checks the
+    martingale identity at every expiry.  A caller that prices the same
+    strikes again and again (a calibration) may pass the same ``cache``
+    dict each time: it keeps the nodes and e^{-ivk} while they stay valid.
+    A price that is not finite, or leaves [0, inf) by more than the clamp
+    tolerance, raises AccuracyError.
+    """
+    phis = [char_fn(model, tau) for tau in expiries]
+    logs = [np.log(np.asarray(s, dtype=float) / spot) for s in strikes]
+    a = cfg.alpha
+    lo, hi = model.strip()
+    if not (lo < -a < hi):
+        raise StripError(
+            f"damping line Im(z) = -{a} outside the strip ({lo}, {hi})")
+    ranges = [_node_range(p, a) for p in phis]
+    s_ends = [s for _, s in ranges if s is not None]
+    key = (a, max(v for v, _ in ranges), min(s_ends) if s_ends else None,
+           tuple(x.tobytes() for x in logs), tuple(p.carrier for p in phis))
+    cache = {} if cache is None else cache
+    if cache.get("key") != key:
+        cache.clear()
+        cache["key"] = key
+        cache["nodes"] = _Nodes(a, key[1], key[2],
+                                max(float(np.abs(x).max()) for x in logs),
+                                errors=False)
+    nodes = cache["nodes"]
+    psi = [mmm_cumulant(model, v - 1j * a, check_strip=name == "head")
+           for name, v, _, _, _ in nodes.paths]
+    out = []
+    for j, (phi, (v_end, _), k) in enumerate(zip(phis, ranges, logs)):
+        n = nodes.head_panels(v_end)
+        samples = [np.exp(phi.horizon * psi[0][:n])] \
+            + [np.exp(phi.horizon * p) for p in psi[1:]]
+        value, _ = nodes.integrate("price", samples, k, phi.carrier, None,
+                                   cache.setdefault(j, {}), n_head=n)
+        tail, _ = _tails("price", phi, None, a, k, nodes.s_end)
+        prices = np.array([_prefactor("price", a, x) for x in k]) * (value + tail)
+        for i, p in enumerate(prices):
+            if not math.isfinite(p):
+                raise AccuracyError(f"price is not finite at expiry "
+                                    f"{phi.horizon} and chi={math.exp(k[i])}")
+            prices[i] = _clamped("price", p, 0.0, [])
+        out.append(spot * prices)
+    return out
 
 
 # ---------------------------------------------------------------------------

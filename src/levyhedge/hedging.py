@@ -8,17 +8,24 @@ Both strategies are functions of moneyness chi = K / S alone:
 and |LRM - Delta| admits two computable upper bounds: one tight for small
 chi (linear in chi, driven by C2- and the lower tail probability) and one
 of order 1/chi for large chi (an explicit constant involving the
-condition integral of |phi(v - 2i)|/(1+v)).  Every point is evaluated by
-the adaptive-quadrature transforms of ``fourier``.
+condition integral of |phi(v - 2i)|/(1+v)).  The transforms come from
+the fixed-node batch engine ``fourier.transform_batch``: one call per sweep
+prices I1, I2 and the tail at every moneyness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .fourier import CharFn, FourierConfig, theorem4_condition_integral, transform
+from .fourier import (
+    CharFn,
+    FourierConfig,
+    FourierResult,
+    theorem4_condition_integral,
+    transform_batch,
+)
 from .levy_core import DivergenceError, LevyIntegrabilityError, MmmModel, StripError
 
 __all__ = [
@@ -27,6 +34,9 @@ __all__ = [
     "strategy_point",
     "sweep",
 ]
+
+# the transforms every point needs
+KINDS = ("i1", "i2", "tail")
 
 # invariant slack: bounds are exact mathematics, only quadrature error can
 # break them, so violations are tolerated up to this multiple of the
@@ -79,8 +89,9 @@ def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
 
 
 def strategy_point(model: MmmModel, phi: CharFn, chi: float,
-                   cfg: FourierConfig,
-                   t4_const: Optional[float]) -> StrategyPoint:
+                   cfg: FourierConfig, t4_const: Optional[float],
+                   transforms: Optional[Mapping[str, FourierResult]] = None
+                   ) -> StrategyPoint:
     """LRM, Delta, their distance and both bounds at one moneyness; the one
     place they are assembled.  The small-moneyness bound is
 
@@ -88,10 +99,17 @@ def strategy_point(model: MmmModel, phi: CharFn, chi: float,
 
     with p_low = p*((-inf, log chi]); the large-moneyness bound is
     t4_const / chi, absent when ``t4_const`` (see bound_t4_constant) is None.
+    ``transforms`` holds this point's entries of ``transform_batch`` for
+    KINDS (``sweep`` passes them from its one batch call); left out, they
+    are computed here.  An entry that is an exception is raised.
     """
-    r1 = transform("i1", phi, chi, cfg)
-    r2 = transform("i2", phi, chi, cfg, model=model)
-    rt = transform("tail", phi, chi, cfg)
+    if transforms is None:
+        transforms = {kind: res[0] for kind, res in
+                      transform_batch(KINDS, phi, [chi], cfg, model).items()}
+    for kind in KINDS:
+        if isinstance(transforms[kind], Exception):
+            raise transforms[kind]
+    r1, r2, rt = (transforms[kind] for kind in KINDS)
     s2c2 = model.sigma**2 + model.c2
     lrm_v = (model.sigma**2 * r1.value + r2.value) / s2c2
     delta_v = r1.value
@@ -131,10 +149,13 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
     except LevyIntegrabilityError:
         t4_const = None
 
+    batch = transform_batch(KINDS, phi, chis, cfg, model)
     points = []
-    for chi in chis:
+    for i, chi in enumerate(chis):
         try:
-            points.append(strategy_point(model, phi, chi, cfg, t4_const))
+            points.append(strategy_point(
+                model, phi, chi, cfg, t4_const,
+                {kind: batch[kind][i] for kind in KINDS}))
         except Exception as exc:  # collected, not fail-fast
             points.append(StrategyPoint(
                 chi=chi, i1=math.nan, i2=math.nan, lrm=math.nan,

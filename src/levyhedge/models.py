@@ -170,6 +170,11 @@ class VgMeasure(LevyMeasure):
         self.w_lo = -self.g
         self.w_hi = self.m_big
 
+    @property
+    def log_terms(self):
+        """exp_moment(w) as sum c (log a - log(a + s w)) over (c, a, s)."""
+        return ((self.c, self.m_big, -1.0), (self.c, self.g, 1.0))
+
     def density(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x == 0.0):

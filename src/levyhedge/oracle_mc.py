@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .fourier import _gl_panels
+from .fourier import _panel_rule
 from .levy_core import MmmModel, ZeroMeasure
 from .models import MertonMeasure, VgMeasure
 
@@ -201,7 +200,8 @@ def _i2_nodes(measure) -> Tuple[np.ndarray, np.ndarray]:
     eigenvalue solve would slow down every start-up.
     """
     panels = measure.quad_panels(w_re=2.0)
-    return _gl_panels([panels[0][0]] + [b for _, b in panels], leggauss(160))
+    x, w, _ = _panel_rule([panels[0][0]] + [b for _, b in panels], n=160)
+    return x.ravel(), w.ravel()
 
 
 def _suffix_sums(c: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ from levyhedge.benchmarks import (
     merton_benchmark,
     vg_benchmark,
 )
-from levyhedge.calibration import Quote, QuoteSet, _PricingGrid, calibrate, rmse
+from levyhedge.calibration import Quote, QuoteSet, calibrate, rmse
+from levyhedge.fourier import call_prices
 from levyhedge.hedging import bound_t4_constant, strategy_point, sweep
 from levyhedge.models import (
     MertonParams,
@@ -238,9 +239,9 @@ def test_criterion_9_synthetic_calibration_recovery(setup):
     def quotes_for(mmm):
         qs = []
         for n, T in enumerate(expiries):
-            grid = _PricingGrid(mmm, T, cfg)
             strikes = SPOT * np.asarray(moneyness[:12 if n < 3 else 11])
-            for K, p in zip(strikes, grid.prices(SPOT, strikes)):
+            (prices,) = call_prices(mmm, SPOT, [T], [strikes], cfg)
+            for K, p in zip(strikes, prices):
                 qs.append(Quote(T, float(K), float(p)))
         return QuoteSet(spot=SPOT, quotes=tuple(qs))
 

@@ -1,15 +1,16 @@
+import math
 from datetime import date
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from levyhedge import call_price, char_fn, to_mmm
+from levyhedge import FourierConfig, call_price, char_fn, to_mmm
 from levyhedge.benchmarks import SPOT
 from levyhedge.calibration import (
     CalibrationResult,
     Quote,
     QuoteSet,
-    _PricingGrid,
     calibrate,
     constraint_report,
     read_quotes,
@@ -17,6 +18,7 @@ from levyhedge.calibration import (
     write_quotes,
     write_result,
 )
+from levyhedge.fourier import call_prices
 from levyhedge.models import (
     MertonParams,
     VgParams,
@@ -38,9 +40,9 @@ def synth_quotes(params, cfg, n_exp=7, per_exp=12) -> QuoteSet:
                    else vg_model(params))
     quotes = []
     for T in EXPIRIES[:n_exp]:
-        grid = _PricingGrid(model, T, cfg)
         strikes = SPOT * np.asarray(MONEYNESS[:per_exp])
-        for K, p in zip(strikes, grid.prices(SPOT, strikes)):
+        (prices,) = call_prices(model, SPOT, [T], [strikes], cfg)
+        for K, p in zip(strikes, prices):
             quotes.append(Quote(T, float(K), float(p)))
     return QuoteSet(spot=SPOT, quotes=tuple(quotes),
                     valuation_date=date(2016, 4, 20))
@@ -117,16 +119,36 @@ def test_price_against_mc(merton_mmm, cfg):
     assert abs(ref - SPOT * est.value) <= 3.0 * SPOT * est.se
 
 
-def test_fast_grid_matches_reference(merton_mmm, vg_mmm, cfg):
+def _bs_call(spot, strike, sigma, tau):
+    sd = sigma * math.sqrt(tau)
+    d1 = math.log(spot / strike) / sd + 0.5 * sd
+    return spot * ndtr(d1) - strike * ndtr(d1 - sd)
+
+
+def test_fast_grid_matches_reference(bs_mmm, merton_mmm, vg_mmm):
+    # the engine's calibration prices carry no bias: within 1e-9 x spot of
+    # the Black-Scholes closed form and of the adaptive call_price on every
+    # damping line, from one day to five years, chi in [0.3, 3]
+    tol = 1e-9 * SPOT
+    strikes = SPOT * np.geomspace(0.3, 3.0, 15)
+    taus = [1 / 365, 0.05, 0.3, 1.0, 5.0]
+    for alpha in (1.25, 1.75, 2.0):
+        cfg = FourierConfig(alpha=alpha)
+        fast = call_prices(bs_mmm, SPOT, taus, [strikes] * len(taus), cfg)
+        for T, prices in zip(taus, fast):
+            phi = char_fn(bs_mmm, T)
+            for K, p in zip(strikes, prices):
+                assert abs(p - _bs_call(SPOT, K, 0.2, T)) <= tol
+                assert abs(p - call_price(phi, SPOT, K, cfg)) <= tol
+    cfg = FourierConfig()
     strikes = SPOT * np.asarray([0.85, 0.97, 0.999, 1.0, 1.02, 1.15])
     for mmm in (merton_mmm, vg_mmm):
-        for T in (30 / 365, 331 / 365):
-            grid = _PricingGrid(mmm, T, cfg)
-            fast = grid.prices(SPOT, strikes)
+        taus = [30 / 365, 331 / 365]
+        fast = call_prices(mmm, SPOT, taus, [strikes] * 2, cfg)
+        for T, prices in zip(taus, fast):
             phi = char_fn(mmm, T)
             ref = [call_price(phi, SPOT, float(K), cfg) for K in strikes]
-            assert np.max(np.abs(fast - np.asarray(ref))) < 1e-3
-
+            assert np.max(np.abs(prices - np.asarray(ref))) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from levyhedge import FourierConfig, to_mmm
 from levyhedge.benchmarks import SPOT
-from levyhedge.calibration import Quote, QuoteSet, write_quotes, _PricingGrid
+from levyhedge.calibration import Quote, QuoteSet, write_quotes
 from levyhedge.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -14,6 +14,7 @@ from levyhedge.cli import (
     main,
     verify_report,
 )
+from levyhedge.fourier import call_prices
 from levyhedge.models import merton_model
 from levyhedge.oracle_mc import McConfig
 
@@ -226,20 +227,27 @@ def test_bad_mc_section_is_config_error(tmp_path, capsys, key, value):
 
 def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
                                                        cfg, monkeypatch):
-    # the tail_lower row is 1 - tail_upper, not a second tail transform
+    # one batch-engine call prices every kind at every strike; the
+    # tail_lower row is 1 - tail_upper, not a second tail transform, and no
+    # row falls back to the adaptive oracle
     from levyhedge import cli, fourier
     counts = Counter()
-    real = fourier.transform
+    real = fourier.transform_batch
 
-    def counted(kind, *args, **kwargs):
-        counts[kind] += 1
-        return real(kind, *args, **kwargs)
+    def counted(kinds, phi, chis, *args, **kwargs):
+        counts["calls"] += 1
+        for kind in kinds:
+            counts[kind] += len(chis)
+        return real(kinds, phi, chis, *args, **kwargs)
 
-    monkeypatch.setattr(fourier, "transform", counted)
-    monkeypatch.setattr(cli, "transform", counted, raising=False)
+    def oracle(*args, **kwargs):
+        raise AssertionError("verify called the adaptive transform")
+
+    monkeypatch.setattr(cli, "transform_batch", counted)
+    monkeypatch.setattr(fourier, "transform", oracle)
     verify_report(merton_mmm, phi_merton, [0.95, 1.05], cfg,
                   McConfig(n_paths=10_000, seed=1, horizon=phi_merton.horizon))
-    assert counts == {"i1": 2, "tail": 2, "price": 2, "i2": 2}
+    assert counts == {"calls": 1, "i1": 2, "tail": 2, "price": 2, "i2": 2}
 
 
 def test_verify_negative_control_fails(bs_mmm):
@@ -263,9 +271,9 @@ def test_calibrate_cli_merton(tmp_path, merton_params, cfg):
     mmm = to_mmm(merton_model(merton_params))
     quotes = []
     for T in (58 / 365, 149 / 365):
-        grid = _PricingGrid(mmm, T, cfg)
         strikes = SPOT * np.asarray([0.9, 0.97, 1.0, 1.03, 1.1])
-        for K, p in zip(strikes, grid.prices(SPOT, strikes)):
+        (prices,) = call_prices(mmm, SPOT, [T], [strikes], cfg)
+        for K, p in zip(strikes, prices):
             quotes.append(Quote(T, float(K), float(p)))
     qpath = tmp_path / "quotes.csv"
     write_quotes(qpath, QuoteSet(spot=SPOT, quotes=tuple(quotes)))

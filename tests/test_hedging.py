@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyhedge import AccuracyError, char_fn, hedging, transform
+from levyhedge import AccuracyError, char_fn, hedging, transform, transform_batch
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
 from levyhedge.hedging import bound_t4_constant, strategy_point, sweep
 
@@ -23,7 +23,10 @@ def test_lrm_small_chi_limit(vg_mmm, phi_vg, cfg):
 
 def test_delta_is_i1(merton_mmm, phi_merton, cfg):
     pt = strategy_point(merton_mmm, phi_merton, 1.02, cfg, t4_const=None)
-    assert pt.delta == transform("i1", phi_merton, 1.02, cfg).value
+    (r1,) = transform_batch(("i1",), phi_merton, [1.02], cfg)["i1"]
+    assert pt.delta == r1.value
+    assert pt.delta == pytest.approx(
+        transform("i1", phi_merton, 1.02, cfg).value, abs=1e-12)
 
 
 def test_lrm_in_unit_interval_on_grid(vg_mmm, phi_vg, cfg):

@@ -1,5 +1,6 @@
 """Source hygiene checks that need only the standard library: every exported
-name resolves, and no module imports a name it never uses."""
+name resolves, no module imports a name it never uses, and no production
+module reaches the adaptive-quadrature oracle ``fourier.transform``."""
 
 import ast
 import importlib
@@ -65,3 +66,34 @@ def test_no_unused_imports(name):
 def test_unused_import_check_detects_one():
     src = "from __future__ import annotations\nimport math\nimport os\nx = math.pi\n"
     assert _unused_imports(src) == ["os (line 3)"]
+
+
+def _references(source: str, name: str):
+    """Lines of ``source`` that name ``name``: as a variable, an attribute
+    or an imported name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias)
+                    and name in (node.name, node.asname))):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "fourier"])
+def test_transform_is_the_oracle_only(name):
+    # production paths take every transform from the batch engine; the
+    # per-strike adaptive quadrature stays in fourier as the test oracle
+    found = _references((SRC / f"{name}.py").read_text(encoding="utf-8"),
+                        "transform")
+    assert not found, f"levyhedge/{name}.py references transform on {found}"
+
+
+def test_transform_reference_check_detects_each_form():
+    src = ("from .fourier import transform\n"
+           "from . import fourier\n"
+           "x = fourier.transform\n"
+           "y = transform\n"
+           "transform_batch = 1\n")
+    assert _references(src, "transform") == [1, 3, 4]
