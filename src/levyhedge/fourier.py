@@ -88,6 +88,8 @@ _EPSABS = 1e-12
 _EPSREL = 1e-9
 # a transform whose error estimate exceeds this raises AccuracyError
 _ACCURACY_LIMIT = 1e-5
+# scalar points a characteristic function remembers before it starts over
+_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -133,28 +135,73 @@ class CharFn:
 
 
 def char_fn(model: MmmModel, horizon: float) -> CharFn:
-    """Build the MMM characteristic function of L over ``horizon``."""
+    """Build the MMM characteristic function of L over ``horizon``, after
+    checking the martingale identity phi(0) = phi(-i) = 1.
+
+    ``fn`` and ``fn_analytic`` memoize scalar arguments, so that the
+    reference quadratures, which evaluate phi at the same points again and
+    again (the cos/sin pair of an oscillatory rule, the re/im pair of a
+    contour, the kinds of one strike), evaluate each point once.  Arrays
+    bypass the memo; it holds at most _MEMO_SIZE points, and it lives and
+    dies with its CharFn.
+    """
+    phi = _char_fn(model, horizon)
+    _check_martingale(model, horizon)
+    return phi
+
+
+def _char_fn(model: MmmModel, horizon: float) -> CharFn:
+    """``char_fn`` without the martingale check."""
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if model.sigma == 0.0 and model.measure.is_zero:
         raise ValueError("degenerate deterministic model has no density; "
                          "Fourier inversion does not apply")
 
+    @_memoized
     def fn(z):
         return np.exp(horizon * mmm_cumulant(model, z))
 
     fn_analytic = None
     if getattr(model.measure, "closed_form", False):
+        @_memoized
         def fn_analytic(z):
             return np.exp(horizon * mmm_cumulant(model, z, check_strip=False))
 
-    if abs(fn(0.0) - 1.0) > 1e-10 or abs(fn(-1j) - 1.0) > 1e-10:
-        raise AccuracyError("characteristic function violates phi(0) = "
-                            "phi(-i) = 1; the MMM transform is inconsistent")
     carrier = horizon * (model.drift_star - model.m1_star) if model.sigma == 0.0 else 0.0
     return CharFn(fn=fn, horizon=horizon, strip_im=model.strip(),
                   sigma=model.sigma, carrier=carrier, fn_analytic=fn_analytic,
                   asymptote=_asymptote_of(model, horizon))
+
+
+def _check_martingale(model: MmmModel, horizon: float) -> None:
+    """phi_tau(0) = phi_tau(-i) = 1 to 1e-10 for every tau <= horizon, as
+    |Psi(0)| and |Psi(-i)| <= 1e-10 / horizon."""
+    worst = max(abs(mmm_cumulant(model, 0.0)), abs(mmm_cumulant(model, -1j)))
+    if not worst * horizon <= 1e-10:
+        raise AccuracyError("characteristic function violates phi(0) = "
+                            "phi(-i) = 1; the MMM transform is inconsistent")
+
+
+def _memoized(f: Callable) -> Callable:
+    """f with a memo of its scalar arguments (see ``char_fn``), cleared
+    when it is full.  Since 0.0 == -0.0, a point with a zero coordinate
+    keys on the signs of its coordinates as well."""
+    memo: dict = {}
+
+    def fn(z):
+        if isinstance(z, np.ndarray):
+            return f(z)
+        key = z if z.real and z.imag else (
+            z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+        out = memo.get(key)
+        if out is None:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            out = memo[key] = f(z)
+        return out
+    fn.memo = memo
+    return fn
 
 
 @dataclass(frozen=True)
@@ -420,7 +467,7 @@ def _kind_psi(kind: str, alpha: float, iv, phi_v, model: Optional[MmmModel],
         return phi_v / ((alpha - 1.0 + iv) * (alpha + iv))
     g = model.measure.exp_moment
     w = alpha + iv
-    inner = g(w + 1.0, check=check) - g(w, check=check) - g(1.0)
+    inner = g(w + 1.0, check=check) - g(w, check=check) - model.exp_moment_1
     return inner * phi_v / ((alpha - 1.0 + iv) * (alpha + iv))
 
 
@@ -455,7 +502,7 @@ def _contour_asymptote(model: MmmModel, horizon: float):
     Each log(a + s w) splits into log w - i pi [s < 0] + log(1 + a/(s w))."""
     terms = model.measure.log_terms
     beta = model.beta
-    k0 = beta * complex(model.measure.exp_moment(1.0))
+    k0 = beta * complex(model.exp_moment_1)
     h = np.zeros(_ASYM_TERMS + 1, dtype=complex)
     for c, a, s in terms:
         k0 += c * (math.log(a) + (1j * math.pi if s < 0 else 0.0))
@@ -476,7 +523,7 @@ def _kind_series(kind: str, model: Optional[MmmModel]) -> np.ndarray:
     if kind == "price":
         return price
     inner = np.zeros(n, dtype=complex)
-    inner[0] = -complex(model.measure.exp_moment(1.0))
+    inner[0] = -complex(model.exp_moment_1)
     for c, a, s in model.measure.log_terms:
         inner += c * (_log1p_series(a / s) - _log1p_series((a + s) / s))
     return np.convolve(inner, price)[:n]
@@ -726,14 +773,15 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
 
     The MMM cumulant Psi is sampled once on nodes shared by every expiry,
     and phi_tau = exp(tau Psi); for a diffusive model each expiry uses the
-    head panels up to its own Gaussian cutoff.  ``char_fn`` still checks the
-    martingale identity at every expiry.  A caller that prices the same
-    strikes again and again (a calibration) may pass the same ``cache``
-    dict each time: it keeps the nodes and e^{-ivk} while they stay valid.
-    A price that is not finite, or leaves [0, inf) by more than the clamp
-    tolerance, raises AccuracyError.
+    head panels up to its own Gaussian cutoff.  The martingale identity is
+    checked once, on Psi, for the longest expiry, which covers the others.
+    A caller that prices the same strikes again and again (a calibration)
+    may pass the same ``cache`` dict each time: it keeps the nodes and
+    e^{-ivk} while they stay valid.  A price that is not finite, or leaves
+    [0, inf) by more than the clamp tolerance, raises AccuracyError.
     """
-    phis = [char_fn(model, tau) for tau in expiries]
+    phis = [_char_fn(model, tau) for tau in expiries]
+    _check_martingale(model, max(expiries))
     logs = [np.log(np.asarray(s, dtype=float) / spot) for s in strikes]
     a = cfg.alpha
     lo, hi = model.strip()

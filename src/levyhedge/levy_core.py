@@ -60,6 +60,14 @@ class DivergenceError(AccuracyError):
     """A truncated integral shows no decay: treated as divergent."""
 
 
+def _within(x, lo: float, hi: float) -> bool:
+    """lo < x < hi at every element of x; a scalar is compared as a float,
+    without the cost of numpy's reductions on a 0-d array."""
+    if np.ndim(x) == 0:
+        return lo < float(x) < hi
+    return bool(((lo < x) & (x < hi)).all())
+
+
 # ---------------------------------------------------------------------------
 # Levy measures
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ class LevyMeasure(ABC):
 
     def _check_w(self, w) -> None:
         re = np.real(w)
-        if not np.all((self.w_lo < re) & (re < self.w_hi)):
+        if not _within(re, self.w_lo, self.w_hi):
             raise StripError(
                 f"exp_moment requires Re(w) in ({self.w_lo}, {self.w_hi}); got {re}"
             )
@@ -269,7 +277,8 @@ class MmmModel:
     mu_s (risky-asset drift rate), xi (Brownian Girsanov tilt),
     beta = mu_s / (sigma^2 + C2) (so theta_x = beta * (e^x - 1)),
     the exponential jump moments C2 = C2+ + C2-, the MMM log-price drift
-    drift_star, and m1_star = integral of x nu*(dx).
+    drift_star, m1_star = integral of x nu*(dx), and exp_moment_1 =
+    integral of (e^x - 1) nu(dx), the base moment at w = 1.
     """
 
     base: LevyModel
@@ -281,6 +290,7 @@ class MmmModel:
     c2_minus: float
     drift_star: float
     m1_star: float
+    exp_moment_1: complex
 
     @property
     def sigma(self) -> float:
@@ -299,11 +309,12 @@ class MmmModel:
         return (1.0 - self.theta(x)) * self.measure.density(x)
 
     def exp_moment_star(self, w, check: bool = True):
-        """Integral of (e^{wx} - 1) nu*(dx), assembled from base-measure moments."""
+        """Integral of (e^{wx} - 1) nu*(dx), assembled from base-measure
+        moments g as g(w) - beta (g(w + 1) - g(w) - g(1)): two evaluations
+        of g per call, since g(1) is the model's ``exp_moment_1``."""
         g = self.measure.exp_moment
-        return (g(w, check=check)
-                - self.beta * (g(w + 1.0, check=check) - g(w, check=check)
-                               - g(1.0)))
+        gw = g(w, check=check)
+        return gw - self.beta * (g(w + 1.0, check=check) - gw - self.exp_moment_1)
 
     def strip(self) -> Tuple[float, float]:
         """Open interval of valid Im(z) for the MMM cumulant."""
@@ -355,6 +366,7 @@ def to_mmm(model: LevyModel) -> MmmModel:
     model.validate()
     nu = model.measure
     mu_s = compute_mu_s(model)
+    g1 = nu.exp_moment(1.0)
     c2p, c2m = c2_split(model)
     c2 = c2p + c2m
     denom = model.sigma**2 + c2
@@ -365,7 +377,7 @@ def to_mmm(model: LevyModel) -> MmmModel:
                 f"degenerate model (sigma=0, nu=0) requires mu_s=0, got {mu_s}")
         return MmmModel(base=model, mu_s=0.0, xi=0.0, beta=0.0, c2=0.0,
                         c2_plus=0.0, c2_minus=0.0, drift_star=model.mu,
-                        m1_star=0.0)
+                        m1_star=0.0, exp_moment_1=g1)
     if 0.0 < mu_s <= 1e-12 * max(1.0, denom):
         mu_s = 0.0  # roundoff from cancelling drift terms
     if not (0.0 >= mu_s > -denom):
@@ -380,7 +392,7 @@ def to_mmm(model: LevyModel) -> MmmModel:
     m1_star = m1 - beta * (xexp1 - m1)
     return MmmModel(base=model, mu_s=mu_s, xi=xi, beta=beta, c2=c2,
                     c2_plus=c2p, c2_minus=c2m, drift_star=drift_star,
-                    m1_star=m1_star)
+                    m1_star=m1_star, exp_moment_1=g1)
 
 
 def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
@@ -397,7 +409,7 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
     if check_strip and not model.measure.is_zero:
         lo, hi = model.strip()
         im = np.imag(z)
-        if not np.all((lo < im) & (im < hi)):
+        if not _within(im, lo, hi):
             raise StripError(
                 f"Im(z)={im} outside the cumulant strip ({lo}, {hi})")
     iz = 1j * z

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levyhedge import fourier
 from levyhedge import (
     CharFn,
     DivergenceError,
@@ -8,6 +9,7 @@ from levyhedge import (
     StripError,
     call_price,
     char_fn,
+    mmm_cumulant,
     theorem4_condition_integral,
     to_mmm,
     transform,
@@ -233,3 +235,45 @@ def test_char_fn_rejects_degenerate_model():
     mmm = to_mmm(LevyModel(mu=0.0, sigma=0.0, measure=ZeroMeasure()))
     with pytest.raises(ValueError, match="degenerate"):
         char_fn(mmm, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# the scalar memo of char_fn
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chi", [1.0, 2.5], ids=["atm", "osc"])
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_transforms_of_one_strike_evaluate_each_point_once(
+        family, chi, request, monkeypatch, cfg):
+    # the cos/sin pair of the oscillatory rule, the re/im pair of the
+    # contour and the three kinds of one strike share phi's scalar points
+    mmm = request.getfixturevalue(f"{family}_mmm")
+    phi = char_fn(mmm, 0.05)
+    seen = []
+
+    def counted(model, z, check_strip=True):
+        if np.ndim(z) == 0:
+            seen.append((repr(complex(z)), check_strip))
+        return mmm_cumulant(model, z, check_strip)
+
+    monkeypatch.setattr(fourier, "mmm_cumulant", counted)
+    for kind in ("i1", "i2", "tail"):
+        transform(kind, phi, chi, cfg, model=mmm)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_char_fn_memo_stays_capped(vg_mmm, monkeypatch, cfg):
+    # one CharFn serving many transforms: its memos never outgrow the cap,
+    # and starting over changes no result
+    cases = [(kind, chi) for chi in (0.5, 0.9, 1.0, 1.1, 2.0)
+             for kind in ("i1", "tail")]
+    want = [transform(kind, char_fn(vg_mmm, 0.05), chi, cfg)
+            for kind, chi in cases]
+    monkeypatch.setattr(fourier, "_MEMO_SIZE", 64)
+    phi = char_fn(vg_mmm, 0.05)
+    phi.fn(np.linspace(0.0, 10.0, 100) - 1.75j)
+    assert len(phi.fn.memo) == 0        # arrays bypass the memo
+    for (kind, chi), ref in zip(cases, want):
+        assert transform(kind, phi, chi, cfg) == ref
+        for memo in (phi.fn.memo, phi.fn_analytic.memo):
+            assert 0 < len(memo) <= 64

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library: every exported
-name resolves, no module imports a name it never uses, and no production
-module reaches the adaptive-quadrature oracle ``fourier.transform``."""
+name resolves, no module imports a name it never uses, no production
+module reaches the adaptive-quadrature oracle ``fourier.transform``, and
+the oracle does not reach the batch engine it checks."""
 
 import ast
 import importlib
@@ -68,17 +69,22 @@ def test_unused_import_check_detects_one():
     assert _unused_imports(src) == ["os (line 3)"]
 
 
-def _references(source: str, name: str):
-    """Lines of ``source`` that name ``name``: as a variable, an attribute
+def _names(tree: ast.AST, name: str):
+    """Lines under ``tree`` that name ``name``: as a variable, an attribute
     or an imported name."""
     lines = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if ((isinstance(node, ast.Name) and node.id == name)
                 or (isinstance(node, ast.Attribute) and node.attr == name)
                 or (isinstance(node, ast.alias)
                     and name in (node.name, node.asname))):
             lines.add(node.lineno)
     return sorted(lines)
+
+
+def _references(source: str, name: str):
+    """Lines of ``source`` that name ``name``."""
+    return _names(ast.parse(source), name)
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "fourier"])
@@ -97,3 +103,43 @@ def test_transform_reference_check_detects_each_form():
            "y = transform\n"
            "transform_batch = 1\n")
     assert _references(src, "transform") == [1, 3, 4]
+
+
+# the adaptive oracle and the parts of the batch engine it must not reach,
+# so that no speed-up routes the reference through the engine it checks
+ORACLE_FUNCTIONS = ("transform", "_segment", "_tail", "_tail_contour", "_quad")
+ENGINE_NAMES = ("transform_batch", "_Nodes", "_panel_rule", "_asymptote_tail",
+                "call_prices")
+
+
+def _engine_references(source: str):
+    """(function, name, line) for each engine name that an oracle function
+    of ``source`` names."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in ORACLE_FUNCTIONS:
+            found += [(node.name, name, line) for name in ENGINE_NAMES
+                      for line in _names(node, name)]
+    return sorted(found, key=lambda f: f[2])
+
+
+def test_oracle_stays_independent_of_the_engine():
+    source = (SRC / "fourier.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLE_FUNCTIONS) <= defined
+    found = _engine_references(source)
+    assert not found, f"the oracle names the batch engine: {found}"
+
+
+def test_engine_reference_check_detects_each_form():
+    src = ("def transform():\n"
+           "    from .fourier import call_prices\n"
+           "    return fourier._panel_rule\n"
+           "def _quad():\n"
+           "    return _Nodes()\n"
+           "def transform_batch():\n"
+           "    return _asymptote_tail\n")
+    assert _engine_references(src) == [("transform", "call_prices", 2),
+                                       ("transform", "_panel_rule", 3),
+                                       ("_quad", "_Nodes", 5)]

@@ -17,7 +17,7 @@ from levyhedge import (
     mmm_cumulant_quad,
     to_mmm,
 )
-from levyhedge.models import MertonParams, merton_model
+from levyhedge.models import MertonParams, build_model, merton_model
 
 
 def bs_model(sigma=0.2, mu=None):
@@ -166,6 +166,27 @@ def test_cumulant_strip_violation(vg_mmm):
     lo, hi = vg_mmm.strip()
     with pytest.raises(StripError):
         mmm_cumulant(vg_mmm, 1.0 - 1j * (abs(lo) + 1.0))
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_exp_moment_star_evaluates_two_base_moments(family, request):
+    # g(w) once and g(w + 1); g(1) is a constant of the model
+    mmm = to_mmm(build_model(request.getfixturevalue(f"{family}_params")))
+    base = mmm.measure.exp_moment
+    calls = []
+
+    def counted(w, *args, **kwargs):
+        calls.append(w)
+        return base(w, *args, **kwargs)
+
+    mmm.measure.exp_moment = counted
+    for w in (0.5 + 3j, np.array([1.2 - 4j, 0.3 + 50j, -2.0])):
+        calls.clear()
+        mmm.exp_moment_star(w)
+        assert len(calls) == 2
+    calls.clear()
+    mmm_cumulant(mmm, np.linspace(-5.0, 5.0, 7) - 1.75j)
+    assert len(calls) == 2
 
 
 def test_cumulant_vectorized_matches_scalar(vg_mmm):
