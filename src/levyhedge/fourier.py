@@ -78,12 +78,9 @@ _OSC_THRESHOLD = 0.25
 # clamp policy: excursions beyond bounds up to this size are rounded off,
 # larger ones raise AccuracyError
 _CLAMP_TOL = 1e-8
-# relative agreement required of the condition integrand's fitted decay
-# power over the last two decades before its power-law tail is trusted
-_POWER_RTOL = 1e-3
 # end of the head quadrature and start of the analytic tail
 _V_MAX = 409.6
-# QUADPACK tolerances of every transform and condition-integral quadrature
+# QUADPACK tolerances of every reference transform quadrature
 _EPSABS = 1e-12
 _EPSREL = 1e-9
 # a transform whose error estimate exceeds this raises AccuracyError
@@ -213,11 +210,12 @@ class FourierResult:
 
 @dataclass(frozen=True)
 class ConditionIntegral:
-    """Truncated integral of |phi(v - 2i)| / (1 + v) plus its tail estimate."""
+    """Integral of |phi(v - 2i)| / (1 + v): head nodes plus tail past them,
+    and the p of |phi(v - 2i)| ~ v^-p (inf for a diffusive model)."""
 
     value: float
     tail_estimate: float
-    v_cut: float
+    err_est: float
     decay_power: float
 
     @property
@@ -824,60 +822,55 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
 # large-moneyness bound condition integral
 # ---------------------------------------------------------------------------
 
-def theorem4_condition_integral(phi: CharFn,
-                                v_cut: Optional[float] = None) -> ConditionIntegral:
+def theorem4_condition_integral(phi: CharFn) -> ConditionIntegral:
     """Integral of |phi_tau(v - 2i)| / (1 + v) over v >= 0.
 
     Finiteness of this integral is the admissibility condition for the
-    large-moneyness bound.  The integrand is positive and smooth; for
-    diffusive models it dies off like a Gaussian, for pure-jump models it
-    decays algebraically and the remainder past the truncation point is
-    estimated from the fitted local decay power.  An integrand that shows no
-    decay, or whose fitted power still drifts between the last two decades,
-    raises DivergenceError.
+    large-moneyness bound.  phi is sampled once on the engine's head nodes
+    of the line alpha = 2 (to the Gaussian cutoff if sigma > 0); a pure-jump
+    model adds the closed-form tail of its asymptote, and one without an
+    asymptote raises DivergenceError (of the shipped models, pure-jump
+    Merton: its law has an atom).  err_est is the head's sum over panels of
+    |32-node - 16-node|, the tail's last term, and their rounding budgets.
     """
     lo, hi = phi.strip_im
     if not (lo < -2.0 < hi):
         raise StripError(
             f"the line Im(z) = -2 lies outside the strip ({lo}, {hi})")
-
-    def m(v):
-        return abs(phi.fn(v - 2j)) / (1.0 + v)
-
+    if phi.sigma == 0.0 and phi.asymptote is None:
+        raise DivergenceError(
+            "pure-jump characteristic function without a closed-form "
+            "asymptote: condition integral treated as divergent")
+    v_end, _ = _node_range(phi, 2.0)
+    nodes = _Nodes(2.0, v_end, None, 0.0, errors=True)
+    _, v, w, d, _ = nodes.paths[0]
+    f = np.abs(nodes.sample(phi)[0]) / (1.0 + v)
+    value = float((w * f).sum())
+    err = float(np.abs((d * f).sum(axis=1)).sum() + _ROUNDING * value)
     if phi.sigma > 0.0:
-        v2 = v_cut if v_cut is not None else _gauss_cutoff(phi, 2.0)
-        val = 0.0
-        edges = np.linspace(0.0, v2, 8)
-        for a, b in zip(edges[:-1], edges[1:]):
-            val += quad(m, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)[0]
-        resid = float(m(v2)) * 2.0  # Gaussian decay: comfortably dominated
-        return ConditionIntegral(val, resid, v2, math.inf)
+        return ConditionIntegral(value, 0.0, err, math.inf)
+    tail, tail_err, p = _modulus_tail(phi)
+    return ConditionIntegral(value, tail, err + tail_err, p)
 
-    v_end = v_cut if v_cut is not None else 1e8
-    val = 0.0
-    a = 0.0
-    b = 10.0
-    while a < v_end:
-        b = min(b, v_end)
-        val += quad(m, a, b, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)[0]
-        a, b = b, b * 10.0
-    # fitted decay power of |phi| over each of the last two decades
-    p0, p1, p2 = (abs(phi.fn(v - 2j)) for v in (v_end / 100.0, v_end / 10.0, v_end))
-    if p2 == 0.0:
-        return ConditionIntegral(val, 0.0, v_end, math.inf)
-    power = (math.log(p1) - math.log(p2)) / math.log(10.0)
-    # an integrand that does not decay (a law with an atom) fits a power of
-    # 0 up to the rounding of the two logarithms, a few eps * |log p| (about
-    # 5e-17 in practice); any stable power above that rounding level gives an
-    # integrable v^(-1-power) tail, however small the power
-    if power <= 1e3 * np.finfo(float).eps * max(1.0, abs(math.log(p2))):
-        raise DivergenceError(
-            "condition integrand shows no decay "
-            f"(fitted power {power:.3g} per decade); integral treated as divergent")
-    prev = (math.log(p0) - math.log(p1)) / math.log(10.0)
-    if abs(power - prev) > _POWER_RTOL * power:
-        # e.g. logarithmic decay: no power-law tail estimate applies
-        raise DivergenceError(
-            f"condition integrand decay power drifts from {prev:.6g} to "
-            f"{power:.6g} over the last two decades; integral treated as divergent")
-    return ConditionIntegral(val, float(p2 / power), v_end, power)
+
+def _modulus_tail(phi: CharFn) -> Tuple[float, float, float]:
+    """Integral past _V_MAX of the asymptote of |phi(v - 2i)| / (1 + v), its
+    error budget (last term plus rounding) and the decay power p.  On
+    w = 2 + iv = iv (1 - 2iu), u = 1/v, the contour asymptote gives log |phi|
+    = Re K0 + 2 carrier - p log v + sum_n r_n u^n; times 1/(1 + v) = u/(1 + u)
+    that is e^{Re K0 + 2 carrier} v^-p sum_m b_m u^m, integrated per power.
+    """
+    k0, p, h = phi.asymptote()
+    n = np.arange(_ASYM_TERMS + 1)
+    inv_w = -1j * np.concatenate([[0.0], (2j) ** n[:-1]])
+    r = -p * _log1p_series(-2j)
+    power = np.eye(n.size, dtype=complex)[0]
+    for hn in h[1:]:
+        power = np.convolve(power, inv_w)[:n.size]
+        r += hn * power
+    b = np.convolve(_exp_series(r.real),
+                    np.concatenate([[0.0], (-1.0) ** n[:-1]]))[:n.size]
+    scale = math.exp(k0.real + 2.0 * phi.carrier - p * math.log(_V_MAX))
+    terms = scale * b[1:] * _V_MAX ** (1.0 - n[1:]) / (p + n[1:] - 1.0)
+    return (float(terms.sum()),
+            float(abs(terms[-1]) + _ROUNDING * np.abs(terms).sum()), p)

@@ -57,7 +57,8 @@ class AccuracyError(RuntimeError):
 
 
 class DivergenceError(AccuracyError):
-    """A truncated integral shows no decay: treated as divergent."""
+    """The condition integral of a pure-jump characteristic function with no
+    closed-form asymptote, whose decay is unknown: treated as divergent."""
 
 
 def _within(x, lo: float, hi: float) -> bool:

@@ -1,21 +1,29 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from levyhedge import fourier
 from levyhedge import (
     CharFn,
     DivergenceError,
     FourierConfig,
+    LevyModel,
     StripError,
+    c2_split,
     call_price,
     char_fn,
+    compute_mu_s,
     mmm_cumulant,
     theorem4_condition_integral,
     to_mmm,
     transform,
 )
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
-from levyhedge.models import VgParams, vg_model
+from levyhedge.models import MertonMeasure, VgMeasure, VgParams, vg_model
 
 ALPHAS = (1.25, 1.5, 1.75, 2.0)
 
@@ -157,6 +165,33 @@ def test_i1_strip_violation_raises(phi_merton):
 # condition integral for the large-moneyness bound
 # ---------------------------------------------------------------------------
 
+def condition_integral_reference(phi):
+    """Integral of |phi(v - 2i)| / (1 + v) by adaptive quadrature on
+    panels: 10 wide to 1e3, where the jump part of phi may still oscillate,
+    one per decade to 1e8, then 10 wide in t = log v out to 1e300, closed
+    by |phi(1e300 - 2i)| / p with the decay power p fitted over the last
+    decade.  Independent of the engine's nodes and of its asymptote."""
+    def mod(v):
+        return abs(phi.fn(complex(v, -2.0)))
+
+    def q(f, a, b):
+        return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=1000,
+                    full_output=1)[0]
+
+    edges = np.concatenate([np.arange(0.0, 1e3, 10.0), 10.0 ** np.arange(3, 9)])
+    total = sum(q(lambda v: mod(v) / (1.0 + v), a, b)
+                for a, b in zip(edges[:-1], edges[1:]))
+    if mod(1e8) == 0.0:
+        return total
+    cuts = np.linspace(math.log(1e8), math.log(1e300), 68)
+    total += sum(q(lambda t: mod(math.exp(t)) / (1.0 + math.exp(-t)), a, b)
+                 for a, b in zip(cuts[:-1], cuts[1:]))
+    m299, m300 = mod(1e299), mod(1e300)
+    if m300 == 0.0:
+        return total
+    return total + m300 * math.log(10.0) / math.log(m299 / m300)
+
+
 def test_condition_integral_finite_black_scholes(phi_bs):
     res = theorem4_condition_integral(phi_bs)
     assert np.isfinite(res.total)
@@ -172,9 +207,11 @@ def test_condition_integral_finite_vg(phi_vg):
 
 
 def test_condition_integral_stable_under_doubling(phi_merton):
-    a = theorem4_condition_integral(phi_merton)
-    b = theorem4_condition_integral(phi_merton, v_cut=2 * a.v_cut)
-    assert b.value == pytest.approx(a.value, rel=1e-6)
+    # the head nodes reach past the Gaussian cutoff, so integrating much
+    # further (the reference runs out to 1e300) changes nothing
+    res = theorem4_condition_integral(phi_merton)
+    ref = condition_integral_reference(phi_merton)
+    assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
 
 
 def test_condition_integral_divergence_error():
@@ -182,29 +219,36 @@ def test_condition_integral_divergence_error():
     flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
                   horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
     with pytest.raises(DivergenceError):
-        theorem4_condition_integral(flat, v_cut=1e4)
+        theorem4_condition_integral(flat)
 
 
 def test_condition_integral_vg_one_day_is_finite(vg_mmm):
     # |phi(v - 2i)| decays like v^(-2 C tau) with 2 C tau = 0.037: slow but
-    # integrable, so the power-law tail estimate must close the integral
+    # integrable, so the closed-form tail must close the integral
     phi = char_fn(vg_mmm, 1.0 / 365.0)
     res = theorem4_condition_integral(phi)
-    far = theorem4_condition_integral(phi, v_cut=1e12)
+    ref = condition_integral_reference(phi)
     assert type(res.tail_estimate) is float
-    assert res.total == pytest.approx(far.total, rel=1e-8)
+    assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
     assert res.total == pytest.approx(30.3156, rel=1e-5)
 
 
+def test_condition_integral_vg_one_day_total_is_pinned(vg_mmm):
+    # the reference's total behind bound_t4 of tests/golden/sweep_vg_1d.csv;
+    # a power fitted over the last two decades to 1e8 gave 30.3156242721594
+    res = theorem4_condition_integral(char_fn(vg_mmm, 1.0 / 365.0))
+    assert res.total == pytest.approx(30.3156242666018, rel=1e-12)
+
+
 def test_condition_integral_small_stable_power_is_finite():
-    # admissible VG (C, G, M) = (0.5, 5, 7) at one day: the fitted power
-    # 2 C tau = 0.00274 is small but stable, so the integral is finite and
-    # its power-law tail estimate must not move with the cut
+    # admissible VG (C, G, M) = (0.5, 5, 7) at one day: the decay power
+    # 2 C tau = 0.00274 is small, so the tail past the head nodes holds 98%
+    # of the integral and must match the reference
     phi = char_fn(to_mmm(vg_model(VgParams(0.5, 5.0, 7.0))), 1.0 / 365.0)
     res = theorem4_condition_integral(phi)
-    far = theorem4_condition_integral(phi, v_cut=1e12)
+    ref = condition_integral_reference(phi)
     assert res.decay_power == pytest.approx(1.0 / 365.0, rel=1e-6)
-    assert res.total == pytest.approx(far.total, rel=1e-9)
+    assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
 
 
 def test_condition_integral_drifting_decay_diverges():
@@ -217,6 +261,70 @@ def test_condition_integral_drifting_decay_diverges():
     for phi in (flat, slow):
         with pytest.raises(DivergenceError):
             theorem4_condition_integral(phi)
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_condition_integral_makes_one_array_cumulant_call(
+        family, request, monkeypatch):
+    # the head nodes in one array; the VG tail needs no phi at all
+    phi = char_fn(request.getfixturevalue(f"{family}_mmm"), 0.05)
+    seen = []
+
+    def counted(model, z, check_strip=True):
+        seen.append(isinstance(z, np.ndarray) and z.size > 1)
+        return mmm_cumulant(model, z, check_strip)
+
+    monkeypatch.setattr(fourier, "mmm_cumulant", counted)
+    theorem4_condition_integral(phi)
+    assert seen == [True]
+
+
+def _mid_band(sigma, measure):
+    """The model with mu_s at the middle of (-(sigma^2 + C2), 0]."""
+    probe = LevyModel(mu=0.0, sigma=sigma, measure=measure)
+    mu = -compute_mu_s(probe) - 0.5 * (sigma**2 + sum(c2_split(probe)))
+    return to_mmm(LevyModel(mu=mu, sigma=sigma, measure=measure))
+
+
+_HORIZONS = st.floats(math.log(1.0 / 365.0), math.log(5.0)).map(math.exp)
+
+
+def _check_against_reference(phi):
+    res = theorem4_condition_integral(phi)
+    ref = condition_integral_reference(phi)
+    assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
+    assert res.err_est <= 1e-12 * res.total
+    return res
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(0.1, 20.0), g=st.floats(1.0, 40.0),
+       m=st.floats(4.05, 40.0), tau=_HORIZONS)
+def test_condition_integral_matches_reference_vg(c, g, m, tau):
+    phi = char_fn(_mid_band(0.0, VgMeasure(c, g, m)), tau)
+    res = _check_against_reference(phi)
+    assert res.decay_power == pytest.approx(2.0 * c * tau, rel=1e-12)
+
+
+# Merton over the usual calibrated ranges; near-lattice jumps beyond them
+# need narrower panels than the fixed ones (see the next test)
+@settings(max_examples=20, deadline=None)
+@given(sigma=st.floats(0.05, 0.5), gamma=st.floats(0.01, 2.0),
+       m=st.floats(-0.3, 0.3), delta=st.floats(0.05, 0.5), tau=_HORIZONS)
+def test_condition_integral_matches_reference_merton(sigma, gamma, m, delta,
+                                                     tau):
+    phi = char_fn(_mid_band(sigma, MertonMeasure(gamma, m, delta)), tau)
+    assert _check_against_reference(phi).decay_power == math.inf
+
+
+def test_condition_integral_err_est_covers_near_lattice_jumps():
+    # 25 jumps of almost exactly +0.5 over the horizon, sigma = 0.01: |phi|
+    # keeps peaking every 4 pi in v, too sharply for 24-wide panels; the
+    # total is off by about 1e-3 relative, and err_est must cover that
+    phi = char_fn(_mid_band(0.01, MertonMeasure(5.0, 0.5, 0.01)), 5.0)
+    res = theorem4_condition_integral(phi)
+    ref = condition_integral_reference(phi)
+    assert abs(res.total - ref) <= res.err_est
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene checks that need only the standard library: every exported
 name resolves, no module imports a name it never uses, no production
-module reaches the adaptive-quadrature oracle ``fourier.transform``, and
-the oracle does not reach the batch engine it checks."""
+module reaches the adaptive-quadrature oracle ``fourier.transform``, the
+oracle does not reach the batch engine it checks, and the condition
+integral stays on fixed nodes."""
 
 import ast
 import importlib
@@ -112,15 +113,21 @@ ENGINE_NAMES = ("transform_batch", "_Nodes", "_panel_rule", "_asymptote_tail",
                 "call_prices")
 
 
+def _function_references(source: str, functions, names):
+    """(function, name, line) for each of ``names`` that one of the
+    top-level ``functions`` of ``source`` names."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found += [(node.name, name, line) for name in names
+                      for line in _names(node, name)]
+    return sorted(found, key=lambda f: f[2])
+
+
 def _engine_references(source: str):
     """(function, name, line) for each engine name that an oracle function
     of ``source`` names."""
-    found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in ORACLE_FUNCTIONS:
-            found += [(node.name, name, line) for name in ENGINE_NAMES
-                      for line in _names(node, name)]
-    return sorted(found, key=lambda f: f[2])
+    return _function_references(source, ORACLE_FUNCTIONS, ENGINE_NAMES)
 
 
 def test_oracle_stays_independent_of_the_engine():
@@ -143,3 +150,15 @@ def test_engine_reference_check_detects_each_form():
     assert _engine_references(src) == [("transform", "call_prices", 2),
                                        ("transform", "_panel_rule", 3),
                                        ("_quad", "_Nodes", 5)]
+
+
+def test_condition_integral_stays_off_adaptive_quadrature():
+    # the condition integral samples phi once on fixed nodes; neither
+    # scipy's quad nor the oracle transform may creep back in
+    source = (SRC / "fourier.py").read_text(encoding="utf-8")
+    assert "theorem4_condition_integral" in {
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)}
+    found = _function_references(source, ("theorem4_condition_integral",),
+                                 ("quad", "transform"))
+    assert not found, f"the condition integral names {found}"
