@@ -112,7 +112,8 @@ class CharFn:
                   present only for closed-form models;
     asymptote  -- for pure-jump models whose jump transform is a sum of
                   logarithms (variance gamma), a callable returning the
-                  1/w-series of log phi on the rotated contours.
+                  1/w-series of log phi on the rotated contours and the
+                  |w| past which it converges.
     """
 
     fn: Callable
@@ -419,6 +420,11 @@ _S_FIRST, _S_RATIO, _S_END, _S_EXP = 0.5, 1.6, 2.0e5, 600.0
 _S_DECAY = 40.0
 # terms of the 1/w series of that asymptote
 _ASYM_TERMS = 16
+# the condition integral's closed-form tail starts this many times out the
+# radius in v of its series (the asymptote's r + 2 on w = 2 + iv), where
+# each term is at most 1/8 of the one before, but at most at
+# _TAIL_START_MAX; a series still diverging there fails its error budget
+_TAIL_REACH, _TAIL_START_MAX = 8.0, 1.0e5
 # rounding budget of a node sum, per unit of the sum of its |terms|
 _ROUNDING = 50.0 * np.finfo(float).eps
 
@@ -494,10 +500,11 @@ def _asymptote_of(model: MmmModel, horizon: float) -> Optional[Callable]:
 
 
 def _contour_asymptote(model: MmmModel, horizon: float):
-    """(K0, p, h) with log phi(z) - w*carrier = K0 - p log w + sum_n h_n w^-n
-    on the rotated contours (w = iz, Im w > 0, |w| >= _V_MAX), for a
-    measure whose exp_moment is a sum of c (log a - log(a + s w)) terms.
-    Each log(a + s w) splits into log w - i pi [s < 0] + log(1 + a/(s w))."""
+    """(K0, p, h, r) with log phi(z) - w*carrier = K0 - p log w + sum_n h_n
+    w^-n on the rotated contours (w = iz, Im w > 0), for a measure whose
+    exp_moment is a sum of c (log a - log(a + s w)) terms; the series
+    converges for |w| > r.  Each log(a + s w) splits into log w - i pi
+    [s < 0] + log(1 + a/(s w))."""
     terms = model.measure.log_terms
     beta = model.beta
     k0 = beta * complex(model.exp_moment_1)
@@ -506,7 +513,9 @@ def _contour_asymptote(model: MmmModel, horizon: float):
         k0 += c * (math.log(a) + (1j * math.pi if s < 0 else 0.0))
         h -= c * ((1.0 + beta) * _log1p_series(a / s)
                   - beta * _log1p_series((a + s) / s))
-    return (horizon * k0, horizon * sum(c for c, _, _ in terms), horizon * h)
+    radius = max(max(abs(a / s), abs((a + s) / s)) for _, a, s in terms)
+    return (horizon * k0, horizon * sum(c for c, _, _ in terms), horizon * h,
+            radius)
 
 
 def _kind_series(kind: str, model: Optional[MmmModel]) -> np.ndarray:
@@ -538,7 +547,7 @@ def _asymptote_tail(kind: str, phi: CharFn, model: Optional[MmmModel],
     e^{-|k - carrier| s} is integrated on geometric s-panels until it has
     decayed.
     """
-    k0, p, h = phi.asymptote()
+    k0, p, h, _ = phi.asymptote()
     b = np.convolve(_kind_series(kind, model), _exp_series(h))[:_ASYM_TERMS + 1]
     n = np.arange(_ASYM_TERMS + 1)
     delta = k - phi.carrier
@@ -827,40 +836,57 @@ def theorem4_condition_integral(phi: CharFn) -> ConditionIntegral:
 
     Finiteness of this integral is the admissibility condition for the
     large-moneyness bound.  phi is sampled once on the engine's head nodes
-    of the line alpha = 2 (to the Gaussian cutoff if sigma > 0); a pure-jump
-    model adds the closed-form tail of its asymptote, and one without an
-    asymptote raises DivergenceError (of the shipped models, pure-jump
-    Merton: its law has an atom).  err_est is the head's sum over panels of
-    |32-node - 16-node|, the tail's last term, and their rounding budgets.
+    of the line alpha = 2: to the Gaussian cutoff if sigma > 0, else to
+    _TAIL_REACH radii of its asymptote's series (at least _V_MAX), whose
+    closed-form tail is added.  A pure-jump model without an asymptote
+    raises DivergenceError (of the shipped models, pure-jump Merton: its
+    law has an atom).  err_est is the head's sum over panels of |32-node -
+    16-node|, the tail's budget and their rounding budgets; one that is not
+    finite or above _ACCURACY_LIMIT of the total raises AccuracyError.
     """
     lo, hi = phi.strip_im
     if not (lo < -2.0 < hi):
         raise StripError(
             f"the line Im(z) = -2 lies outside the strip ({lo}, {hi})")
-    if phi.sigma == 0.0 and phi.asymptote is None:
+    if phi.sigma > 0.0:
+        v_end, _ = _node_range(phi, 2.0)
+    elif phi.asymptote is None:
         raise DivergenceError(
             "pure-jump characteristic function without a closed-form "
             "asymptote: condition integral treated as divergent")
-    v_end, _ = _node_range(phi, 2.0)
+    else:
+        asymptote = phi.asymptote()
+        v_end = min(max(_V_MAX, _TAIL_REACH * (asymptote[3] + 2.0)),
+                    _TAIL_START_MAX)
     nodes = _Nodes(2.0, v_end, None, 0.0, errors=True)
     _, v, w, d, _ = nodes.paths[0]
     f = np.abs(nodes.sample(phi)[0]) / (1.0 + v)
     value = float((w * f).sum())
     err = float(np.abs((d * f).sum(axis=1)).sum() + _ROUNDING * value)
     if phi.sigma > 0.0:
-        return ConditionIntegral(value, 0.0, err, math.inf)
-    tail, tail_err, p = _modulus_tail(phi)
-    return ConditionIntegral(value, tail, err + tail_err, p)
+        res = ConditionIntegral(value, 0.0, err, math.inf)
+    else:
+        tail, tail_err = _modulus_tail(phi, asymptote, v_end, v[-1, -1],
+                                       f[-1, -1])
+        res = ConditionIntegral(value, tail, err + tail_err, asymptote[1])
+    if not res.err_est <= _ACCURACY_LIMIT * res.total:
+        raise AccuracyError(
+            f"condition integral {res.total:.6g} with error estimate "
+            f"{res.err_est:.3g} misses the accuracy limit")
+    return res
 
 
-def _modulus_tail(phi: CharFn) -> Tuple[float, float, float]:
-    """Integral past _V_MAX of the asymptote of |phi(v - 2i)| / (1 + v), its
-    error budget (last term plus rounding) and the decay power p.  On
-    w = 2 + iv = iv (1 - 2iu), u = 1/v, the contour asymptote gives log |phi|
-    = Re K0 + 2 carrier - p log v + sum_n r_n u^n; times 1/(1 + v) = u/(1 + u)
-    that is e^{Re K0 + 2 carrier} v^-p sum_m b_m u^m, integrated per power.
+def _modulus_tail(phi: CharFn, asymptote, v_start: float, v_last: float,
+                  f_last: float) -> Tuple[float, float]:
+    """Integral past v_start of the asymptote of |phi(v - 2i)| / (1 + v) and
+    its budget: the last term, rounding, and a tail of the size of the
+    series' mismatch with the integrand f_last at the last head node v_last,
+    past which the series' relative error only falls.  On w = 2 + iv =
+    iv (1 - 2iu), u = 1/v, the contour asymptote gives log |phi| = Re K0 +
+    2 carrier - p log v + sum_n r_n u^n; times 1/(1 + v) = u/(1 + u) that is
+    e^{Re K0 + 2 carrier} v^-p sum_m b_m u^m, integrated per power.
     """
-    k0, p, h = phi.asymptote()
+    k0, p, h, _ = asymptote
     n = np.arange(_ASYM_TERMS + 1)
     inv_w = -1j * np.concatenate([[0.0], (2j) ** n[:-1]])
     r = -p * _log1p_series(-2j)
@@ -870,7 +896,11 @@ def _modulus_tail(phi: CharFn) -> Tuple[float, float, float]:
         r += hn * power
     b = np.convolve(_exp_series(r.real),
                     np.concatenate([[0.0], (-1.0) ** n[:-1]]))[:n.size]
-    scale = math.exp(k0.real + 2.0 * phi.carrier - p * math.log(_V_MAX))
-    terms = scale * b[1:] * _V_MAX ** (1.0 - n[1:]) / (p + n[1:] - 1.0)
+    log_scale = k0.real + 2.0 * phi.carrier
+    terms = (math.exp(log_scale - p * math.log(v_start)) * b[1:]
+             * v_start ** (1.0 - n[1:]) / (p + n[1:] - 1.0))
+    at_last = (math.exp(log_scale - p * math.log(v_last))
+               * np.polynomial.polynomial.polyval(1.0 / v_last, b))
+    mismatch = abs(at_last - f_last) * v_start / p
     return (float(terms.sum()),
-            float(abs(terms[-1]) + _ROUNDING * np.abs(terms).sum()), p)
+            float(abs(terms[-1]) + _ROUNDING * np.abs(terms).sum() + mismatch))

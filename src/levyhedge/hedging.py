@@ -26,7 +26,7 @@ from .fourier import (
     theorem4_condition_integral,
     transform_batch,
 )
-from .levy_core import DivergenceError, LevyIntegrabilityError, MmmModel, StripError
+from .levy_core import AccuracyError, LevyIntegrabilityError, MmmModel, StripError
 
 __all__ = [
     "StrategyPoint",
@@ -71,11 +71,11 @@ def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
             * [ C2- + integral_0^inf e^{2x} (e^x - 1)^2 nu(dx) ]
 
     Returns None when the condition integral diverges (possible only for
-    sigma = 0).
+    sigma = 0) or misses its accuracy limit.
     """
     try:
         condition = theorem4_condition_integral(phi)
-    except DivergenceError:
+    except AccuracyError:
         return None
     g = model.measure.exp_moment
     try:

@@ -83,6 +83,19 @@ def test_bound_t4_absent_when_condition_diverges(vg_mmm, phi_vg, cfg):
     assert bound_t4_constant(vg_mmm, flat) is None
 
 
+def test_bound_t4_absent_when_condition_misses_accuracy(cfg):
+    # near-lattice Merton jumps: the condition integral's err_est is about
+    # 4e-2 of its total, so the bound is left out, and the sweep goes on
+    from levyhedge import LevyModel, c2_split, compute_mu_s, to_mmm
+    from levyhedge.models import MertonMeasure
+    probe = LevyModel(mu=0.0, sigma=0.01, measure=MertonMeasure(5.0, 0.5, 0.01))
+    mu = -compute_mu_s(probe) - 0.5 * (0.01**2 + sum(c2_split(probe)))
+    mmm = to_mmm(LevyModel(mu=mu, sigma=0.01, measure=probe.measure))
+    phi = char_fn(mmm, 5.0)
+    assert bound_t4_constant(mmm, phi) is None
+    assert all(p.bound_t4 is None for p in sweep(mmm, phi, [0.9, 1.1], cfg))
+
+
 def test_bounds_dominate_difference_on_grid(merton_mmm, phi_merton,
                                             vg_mmm, phi_vg, cfg):
     for mmm, phi in ((merton_mmm, phi_merton), (vg_mmm, phi_vg)):
