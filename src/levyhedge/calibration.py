@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fourier import FourierConfig, call_prices
 from .levy_core import AccuracyError, AssumptionError, c2_split, compute_mu_s, to_mmm
@@ -247,6 +246,7 @@ def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
     post-check).  The reported RMSE is that of the returned parameters, and
     never exceeds the objective at the start point.
     """
+    from scipy.optimize import minimize  # ~0.3 s to import; only fits need it
     cfg = cfg or FourierConfig()
     decode = {MertonParams: _merton_from_theta,
               VgParams: _vg_from_theta}.get(type(init))

@@ -50,13 +50,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .levy_core import (
     AccuracyError,
     DivergenceError,
     MmmModel,
     StripError,
+    _exp,
     mmm_cumulant,
 )
 
@@ -158,13 +158,13 @@ def _char_fn(model: MmmModel, horizon: float) -> CharFn:
 
     @_memoized
     def fn(z):
-        return np.exp(horizon * mmm_cumulant(model, z))
+        return _exp(horizon * mmm_cumulant(model, z))
 
     fn_analytic = None
     if getattr(model.measure, "closed_form", False):
         @_memoized
         def fn_analytic(z):
-            return np.exp(horizon * mmm_cumulant(model, z, check_strip=False))
+            return _exp(horizon * mmm_cumulant(model, z, check_strip=False))
 
     carrier = horizon * (model.drift_star - model.m1_star) if model.sigma == 0.0 else 0.0
     return CharFn(fn=fn, horizon=horizon, strip_im=model.strip(),
@@ -233,6 +233,7 @@ def _make_psi(kind: str, phi: CharFn, alpha: float, model: Optional[MmmModel],
     f = phi.fn_analytic if analytic else phi.fn
     _check_kind(kind, model)
 
+    @_memoized
     def psi(v):
         return _kind_psi(kind, alpha, 1j * v, f(v - 1j * alpha), model,
                          check=not analytic)
@@ -272,6 +273,7 @@ def _clamped(kind: str, value: float, err: float,
 # ---------------------------------------------------------------------------
 
 def _quad(f, a, b, flags: List[str], tag: str, weight=None, wvar=None):
+    from scipy.integrate import quad
     kwargs = dict(epsabs=_EPSABS, epsrel=_EPSREL, limit=800,
                   full_output=1)
     if weight is not None:
@@ -295,7 +297,7 @@ def _segment(psi, k: float, a: float, b: float, flags: List[str],
         vs, es = _quad(lambda v: psi(v).imag, a, b, flags,
                        tag + "-osc", weight="sin", wvar=k)
         return vc + vs, ec + es
-    return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
+    return _quad(lambda v: (cmath.exp(-1j * v * k) * psi(v)).real,
                  a, b, flags, tag)
 
 
@@ -305,21 +307,20 @@ def _gauss_cutoff(phi: CharFn, alpha: float) -> float:
 
 
 def _tail(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
-          k: float, v_start: float, flags: List[str]) -> Tuple[float, float]:
+          k: float, v_start: float, flags: List[str],
+          psi: Callable) -> Tuple[float, float]:
     """Re of integral_{v_start}^inf e^{-ivk} psi(v) dv, plus error estimate."""
     if phi.sigma > 0.0:
         v2 = _gauss_cutoff(phi, alpha)
         if v2 <= v_start:
             return 0.0, 0.0
-        psi = _make_psi(kind, phi, alpha, model)
         return _segment(psi, k, v_start, v2, flags, "tail")
     if phi.continuable:
         return _tail_contour(kind, phi, model, alpha, k, v_start, flags)
     # last resort: real-axis improper integral with whatever accuracy
     # quadpack can certify
-    psi = _make_psi(kind, phi, alpha, model)
     flags.append("tail-uncontinued")
-    return _quad(lambda v: (np.exp(-1j * v * k) * psi(v)).real,
+    return _quad(lambda v: (cmath.exp(-1j * v * k) * psi(v)).real,
                  v_start, np.inf, flags, "tail")
 
 
@@ -338,7 +339,7 @@ def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
 
     def f(s):
         v = v_start - 1j * s if down else v_start + 1j * s
-        return np.exp(-1j * v * k) * psi(v)
+        return _exp(-1j * v * k) * psi(v)
 
     rot = -1j if down else 1j
     vr, er = _quad(lambda s: f(s).real, 0.0, np.inf, flags, "tail-rot")
@@ -366,7 +367,7 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
     k = math.log(chi)
     psi = _make_psi(kind, phi, a, model)
     head, err_h = _segment(psi, k, 0.0, _V_MAX, flags, "head")
-    tail, err_t = _tail(kind, phi, model, a, k, _V_MAX, flags)
+    tail, err_t = _tail(kind, phi, model, a, k, _V_MAX, flags, psi)
     pre = _prefactor(kind, a, k)
     return _result(kind, chi, pre * (head + tail), pre * (err_h + err_t), flags)
 

@@ -10,13 +10,13 @@ a Girsanov tilt -xi on the Brownian part and a jump-intensity tilt
 
 from __future__ import annotations
 
+import cmath
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "LevyIntegrabilityError",
@@ -64,9 +64,36 @@ class DivergenceError(AccuracyError):
 def _within(x, lo: float, hi: float) -> bool:
     """lo < x < hi at every element of x; a scalar is compared as a float,
     without the cost of numpy's reductions on a 0-d array."""
-    if np.ndim(x) == 0:
-        return lo < float(x) < hi
-    return bool(((lo < x) & (x < hi)).all())
+    if isinstance(x, np.ndarray):
+        return bool(((lo < x) & (x < hi)).all())
+    return lo < x < hi
+
+
+def _complex(x):
+    """A scalar or 0-d array as a Python complex, else a complex array."""
+    if isinstance(x, (complex, float, int)):
+        return complex(x)
+    x = np.asarray(x, dtype=complex)
+    return x if x.ndim else complex(x)
+
+
+def _elementary(name: str) -> Callable:
+    """numpy's ``name``, but cmath's (a fraction of the cost) on a complex
+    scalar off the real axis, unless it overflows; numpy's on the axis keeps
+    the model constants' bits, as cmath's log may differ in the last one."""
+    numpy_f, cmath_f = getattr(np, name), getattr(cmath, name)
+
+    def f(x):
+        if isinstance(x, complex) and x.imag:
+            try:
+                return cmath_f(x)
+            except (OverflowError, ValueError):
+                pass
+        return complex(numpy_f(x)) if isinstance(x, complex) else numpy_f(x)
+    return f
+
+
+_exp, _log = _elementary("exp"), _elementary("log")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +131,7 @@ class LevyMeasure(ABC):
         return False
 
     def _check_w(self, w) -> None:
-        re = np.real(w)
+        re = w.real
         if not _within(re, self.w_lo, self.w_hi):
             raise StripError(
                 f"exp_moment requires Re(w) in ({self.w_lo}, {self.w_hi}); got {re}"
@@ -119,18 +146,20 @@ class LevyMeasure(ABC):
         meaningful for closed-form measures whose formulas continue
         analytically.
         """
-        w = np.asarray(w, dtype=complex)
+        w = _complex(w)
         if check:
             self._check_w(w)
         elif not getattr(self, "closed_form", False):
             raise StripError("quadrature-backed measure cannot be continued "
                              "outside its strip")
-        if w.ndim == 0:
-            return self._quad_exp_moment(complex(w), region)
+        if not isinstance(w, np.ndarray):
+            return self._quad_exp_moment(w, region)
         return np.array([self._quad_exp_moment(complex(wi), region)
                          for wi in w.ravel()]).reshape(w.shape)
 
     def _quad_exp_moment(self, w: complex, region: str) -> complex:
+        from scipy.integrate import quad
+
         def f(x):
             return (np.exp(w * x) - 1.0) * self.density(x)
 
@@ -150,6 +179,7 @@ class LevyMeasure(ABC):
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         """Integral of x e^{wx} nu(dx); finite under the |x| moment condition."""
+        from scipy.integrate import quad
         self._check_w(complex(w))
 
         def f(x):
@@ -173,6 +203,7 @@ class LevyMeasure(ABC):
 
     def validate(self) -> None:
         """Check the integrability conditions: (|x| v x^2) and (e^x-1)^n for n=2,4."""
+        from scipy.integrate import quad
         try:
             for n in (2, 4):
                 v = self.exp_power_moment(n)
@@ -206,8 +237,8 @@ class ZeroMeasure(LevyMeasure):
         return []
 
     def exp_moment(self, w, region: str = "all", check: bool = True):
-        w = np.asarray(w, dtype=complex)
-        return np.zeros(w.shape, dtype=complex) if w.ndim else 0.0 + 0.0j
+        w = _complex(w)
+        return np.zeros(w.shape, dtype=complex) if isinstance(w, np.ndarray) else 0j
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return 0.0
@@ -406,22 +437,21 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
     array ``z``; ``check_strip=False`` evaluates the analytic continuation
     of a closed-form measure (used internally for contour tails).
     """
-    z = np.asarray(z, dtype=complex)
+    z = _complex(z)
     if check_strip and not model.measure.is_zero:
         lo, hi = model.strip()
-        im = np.imag(z)
-        if not _within(im, lo, hi):
+        if not _within(z.imag, lo, hi):
             raise StripError(
-                f"Im(z)={im} outside the cumulant strip ({lo}, {hi})")
+                f"Im(z)={z.imag} outside the cumulant strip ({lo}, {hi})")
     iz = 1j * z
     jump = model.exp_moment_star(iz, check=check_strip) - iz * model.m1_star
-    out = iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
-    return complex(out) if out.ndim == 0 else out
+    return iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
 
 
 def mmm_cumulant_quad(model: MmmModel, z: complex) -> complex:
     """Quadrature oracle for Psi*(z): integrates the tilted Levy density
     directly, independent of any closed-form exponential moments."""
+    from scipy.integrate import quad
     z = complex(z)
     iz = 1j * z
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF, vectorized
+from scipy.special import ndtr  # normal CDF of every Merton model: loads on import
 
-from .levy_core import LevyMeasure, LevyModel, c2_split, compute_mu_s
+from .levy_core import LevyMeasure, LevyModel, _complex, _exp, _log, c2_split, compute_mu_s
 
 __all__ = [
     "MertonParams",
@@ -107,7 +107,7 @@ def vg_to_kappa(p: VgParams) -> Tuple[float, float, float]:
 
 def _gauss_emoment(m: float, delta: float, w) -> complex:
     """E[e^{wX}] for X ~ N(m, delta^2); entire in w."""
-    return np.exp(w * m + 0.5 * w * w * delta * delta)
+    return _exp(w * m + 0.5 * w * w * delta * delta)
 
 
 class MertonMeasure(LevyMeasure):
@@ -131,14 +131,13 @@ class MertonMeasure(LevyMeasure):
         return [(-r, 0.0), (0.0, r)]
 
     def exp_moment(self, w, region: str = "all", check: bool = True):
-        w = np.asarray(w, dtype=complex)
+        w = _complex(w)
         g, m, d = self.gamma, self.m, self.delta
         if region == "all":
-            out = g * (_gauss_emoment(m, d, w) - 1.0)
-            return complex(out) if out.ndim == 0 else out
-        if np.any(np.imag(w) != 0.0):
+            return g * (_gauss_emoment(m, d, w) - 1.0)
+        if np.any(w.imag != 0.0):
             return super().exp_moment(w, region, check=check)
-        wr = float(np.real(w))
+        wr = float(w.real)
         # one-sided Gaussian exponential moments via the normal CDF
         up = ndtr((m + wr * d * d) / d)      # mass of e^{wx} * N over x > 0
         p_pos = ndtr(m / d)
@@ -189,14 +188,14 @@ class VgMeasure(LevyMeasure):
         return [(-max(a_neg, 1.5), -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, max(a_pos, 1.5))]
 
     def exp_moment(self, w, region: str = "all", check: bool = True):
-        w = np.asarray(w, dtype=complex)
+        w = _complex(w)
         if check:
             self._check_w(w)
         c, g, mb = self.c, self.g, self.m_big
         # per-factor logs: branch cuts sit on the real axis outside the
         # strip, so these continue analytically along off-axis contours
-        pos = c * (math.log(mb) - np.log(mb - w))
-        neg = c * (math.log(g) - np.log(g + w))
+        pos = c * (math.log(mb) - _log(mb - w))
+        neg = c * (math.log(g) - _log(g + w))
         if region == "pos":
             out = pos
         elif region == "neg":
@@ -205,7 +204,7 @@ class VgMeasure(LevyMeasure):
             out = pos + neg
         else:
             raise ValueError(f"unknown region {region!r}")
-        return complex(out) if out.ndim == 0 else out
+        return out
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         self._check_w(complex(w))

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ from levyhedge.cli import (
 from levyhedge.fourier import call_prices
 from levyhedge.models import merton_model
 from levyhedge.oracle_mc import McConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MERTON_INI = """
 [model]
@@ -307,3 +314,40 @@ def test_calibrate_cli_empty_quotes(tmp_path):
                    "init_m = -0.07\ninit_delta = 0.09\n")
     assert main(["calibrate", "--config", str(ini), "--quotes", str(qpath),
                  "--family", "merton"]) == EXIT_CONFIG
+
+
+_IMPORT_PROBE = """
+import json, sys
+import levyhedge, levyhedge.calibration, levyhedge.cli
+from levyhedge import cli
+from levyhedge.benchmarks import merton_benchmark
+from levyhedge.calibration import Quote, QuoteSet, calibrate
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+
+seen = {"import": loaded()}
+ini, out = sys.argv[1], sys.argv[2]
+seen["sweep"] = [cli.main(["sweep", "--config", ini, "--out", out])] + loaded()
+seen["verify"] = [cli.main(["verify", "--config", ini, "--paths", "20000"])] + loaded()
+quotes = QuoteSet(spot=100.0, quotes=(Quote(0.25, 100.0, 2.5),))
+calibrate(quotes, merton_benchmark(), max_iter=1)
+seen["calibrate"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_sweep_and_verify_never_import_quadrature_or_optimizer(tmp_path):
+    # scipy.integrate serves only the reference oracle and scipy.optimize
+    # only calibrate; a fresh interpreter shows which modules load
+    ini = tmp_path / "vg.ini"
+    ini.write_text(VG_INI)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(ini), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=300, env=env, check=True)
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "sweep": [EXIT_OK], "verify": [EXIT_OK],
+                    "calibrate": ["scipy.optimize"]}

@@ -383,20 +383,32 @@ def test_char_fn_rejects_degenerate_model():
 def test_transforms_of_one_strike_evaluate_each_point_once(
         family, chi, request, monkeypatch, cfg):
     # the cos/sin pair of the oscillatory rule, the re/im pair of the
-    # contour and the three kinds of one strike share phi's scalar points
+    # contour and the three kinds of one strike share phi's scalar points;
+    # each kind's integrand is evaluated once per point too, across those
+    # pairs and across the head and the tail that meet at _V_MAX
     mmm = request.getfixturevalue(f"{family}_mmm")
     phi = char_fn(mmm, 0.05)
     seen = []
+    kind_seen = []
+    kind_psi = fourier._kind_psi
 
     def counted(model, z, check_strip=True):
         if np.ndim(z) == 0:
             seen.append((repr(complex(z)), check_strip))
         return mmm_cumulant(model, z, check_strip)
 
+    def kind_counted(kind, alpha, iv, phi_v, model, check=True):
+        if np.ndim(iv) == 0:
+            kind_seen.append((kind, repr(complex(iv)), check))
+        return kind_psi(kind, alpha, iv, phi_v, model, check)
+
     monkeypatch.setattr(fourier, "mmm_cumulant", counted)
+    monkeypatch.setattr(fourier, "_kind_psi", kind_counted)
     for kind in ("i1", "i2", "tail"):
         transform(kind, phi, chi, cfg, model=mmm)
     assert seen and len(seen) == len(set(seen))
+    assert {k for k, _, _ in kind_seen} == {"i1", "i2", "tail"}
+    assert len(kind_seen) == len(set(kind_seen))
 
 
 def test_char_fn_memo_stays_capped(vg_mmm, monkeypatch, cfg):
