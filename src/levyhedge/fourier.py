@@ -190,7 +190,7 @@ def _memoized(f: Callable) -> Callable:
     def fn(z):
         if isinstance(z, np.ndarray):
             return f(z)
-        key = z if z.real and z.imag else (
+        key = z if z.real and (z.imag or type(z) is float) else (
             z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
         out = memo.get(key)
         if out is None:

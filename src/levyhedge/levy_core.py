@@ -350,10 +350,8 @@ class MmmModel:
 
     def strip(self) -> Tuple[float, float]:
         """Open interval of valid Im(z) for the MMM cumulant."""
-        lo, hi = self.measure.w_lo, self.measure.w_hi
         # exp_moment is evaluated at iz and iz+1, and Re(iz) = -Im(z)
-        return (1.0 - hi if math.isfinite(hi) else -math.inf,
-                -lo if math.isfinite(lo) else math.inf)
+        return 1.0 - self.measure.w_hi, -self.measure.w_lo
 
 
 def compute_mu_s(model: LevyModel) -> float:
