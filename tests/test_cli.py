@@ -318,7 +318,7 @@ def test_calibrate_cli_empty_quotes(tmp_path):
 
 _IMPORT_PROBE = """
 import json, sys
-import levyhedge, levyhedge.calibration, levyhedge.cli
+import levyhedge, levyhedge.calibration
 from levyhedge import cli
 from levyhedge.benchmarks import merton_benchmark
 from levyhedge.calibration import Quote, QuoteSet, calibrate

@@ -190,26 +190,25 @@ def test_exp_moment_star_evaluates_two_base_moments(family, request):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("family", ["merton", "vg"])
-def test_cumulant_vectorized_matches_scalar(family, request):
+def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
     # scalar points run on Python complex and cmath, arrays on numpy: one
     # formula each, which must agree on head points, on contour points past
     # the strip, and for every region of the base moments
-    mmm = request.getfixturevalue(f"{family}_mmm")
     head = np.array([0.5 - 1j, 3.0 - 0.2j, -7.0 - 1.9j, 0.0 - 1.75j])
     contour = 409.6 + np.array([-0.5j, -40.0j, 3.0j, 25.0j]) - 1.75j
-    for zs, check in ((head, True), (contour, False)):
-        vec = mmm_cumulant(mmm, zs, check_strip=check)
-        for zi, vi in zip(zs, vec):
-            scalar = mmm_cumulant(mmm, complex(zi), check_strip=check)
-            assert type(scalar) is complex
-            assert vi == pytest.approx(scalar, rel=1e-14)
-    ws = 1j * head
-    for region in ("all", "pos", "neg"):
-        vec = mmm.measure.exp_moment(ws, region)
-        for wi, vi in zip(ws, vec):
-            assert vi == pytest.approx(
-                mmm.measure.exp_moment(complex(wi), region), rel=1e-14)
+    for mmm in (merton_mmm, vg_mmm):
+        for zs, check in ((head, True), (contour, False)):
+            vec = mmm_cumulant(mmm, zs, check_strip=check)
+            for zi, vi in zip(zs, vec):
+                scalar = mmm_cumulant(mmm, complex(zi), check_strip=check)
+                assert type(scalar) is complex
+                assert vi == pytest.approx(scalar, rel=1e-14)
+        ws = 1j * head
+        for region in ("all", "pos", "neg"):
+            vec = mmm.measure.exp_moment(ws, region)
+            for wi, vi in zip(ws, vec):
+                assert vi == pytest.approx(
+                    mmm.measure.exp_moment(complex(wi), region), rel=1e-14)
 
 
 def test_cumulant_scalar_overflow_is_non_finite(pure_jump_merton):
