@@ -6,7 +6,6 @@ error bounds, Monte Carlo cross-validation, and quote calibration."""
 from .levy_core import (
     AccuracyError,
     AssumptionError,
-    DensityMeasure,
     DivergenceError,
     LevyIntegrabilityError,
     LevyMeasure,
@@ -17,7 +16,6 @@ from .levy_core import (
     c2_split,
     compute_mu_s,
     mmm_cumulant,
-    mmm_cumulant_quad,
     to_mmm,
 )
 from .models import (

@@ -30,7 +30,7 @@ Two evaluators share those integrands:
 * ``transform``, adaptive QUADPACK at one moneyness: the reference oracle
   of the tests and of the benchmark gates, and the only source of the
   QUADPACK flags (``head``, ``head-osc``, ``tail``, ``tail-osc``,
-  ``tail-rot``, ``tail-uncontinued``).
+  ``tail-rot``).
 
 Both apply the same checks to each result: the ``alpha-fallback`` of the
 tail kind in a narrow strip, StripError for other kinds, ``clamped`` for
@@ -108,8 +108,7 @@ class CharFn:
     sigma      -- Brownian volatility (drives the tail strategy);
     carrier    -- asymptotic linear phase rate of log phi along the real
                   axis, tau*(b* - m1*); 0 for subordinated pure-jump models;
-    fn_analytic-- analytic continuation usable at complex v off the strip,
-                  present only for closed-form models;
+    fn_analytic-- analytic continuation usable at complex v off the strip;
     asymptote  -- for pure-jump models whose jump transform is a sum of
                   logarithms (variance gamma), a callable returning the
                   1/w-series of log phi on the rotated contours and the
@@ -123,10 +122,6 @@ class CharFn:
     carrier: float = 0.0
     fn_analytic: Optional[Callable] = None
     asymptote: Optional[Callable] = None
-
-    @property
-    def continuable(self) -> bool:
-        return self.fn_analytic is not None
 
     def __call__(self, z):
         return self.fn(z)
@@ -160,11 +155,9 @@ def _char_fn(model: MmmModel, horizon: float) -> CharFn:
     def fn(z):
         return _exp(horizon * mmm_cumulant(model, z))
 
-    fn_analytic = None
-    if getattr(model.measure, "closed_form", False):
-        @_memoized
-        def fn_analytic(z):
-            return _exp(horizon * mmm_cumulant(model, z, check_strip=False))
+    @_memoized
+    def fn_analytic(z):
+        return _exp(horizon * mmm_cumulant(model, z, check_strip=False))
 
     carrier = horizon * (model.drift_star - model.m1_star) if model.sigma == 0.0 else 0.0
     return CharFn(fn=fn, horizon=horizon, strip_im=model.strip(),
@@ -315,13 +308,7 @@ def _tail(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
         if v2 <= v_start:
             return 0.0, 0.0
         return _segment(psi, k, v_start, v2, flags, "tail")
-    if phi.continuable:
-        return _tail_contour(kind, phi, model, alpha, k, v_start, flags)
-    # last resort: real-axis improper integral with whatever accuracy
-    # quadpack can certify
-    flags.append("tail-uncontinued")
-    return _quad(lambda v: (cmath.exp(-1j * v * k) * psi(v)).real,
-                 v_start, np.inf, flags, "tail")
+    return _tail_contour(kind, phi, model, alpha, k, v_start, flags)
 
 
 def _tail_contour(kind: str, phi: CharFn, model: Optional[MmmModel],
@@ -608,10 +595,6 @@ class _Nodes:
         contours."""
         out = [phi.fn(self.paths[0][1] - 1j * self.alpha)]
         if self.s_end is not None:
-            if not phi.continuable:
-                raise NotImplementedError(
-                    "the engine's contour tail needs a closed-form "
-                    "characteristic function")
             out += [phi.fn_analytic(v - 1j * self.alpha)
                     for _, v, _, _, _ in self.paths[1:]]
         return out
@@ -745,12 +728,7 @@ def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
         v_end, s_end = _node_range(phi, a)
         nodes = _Nodes(a, v_end, s_end, float(np.abs(k).max(initial=0.0)),
                        errors=True)
-        try:
-            samples = nodes.sample(phi)
-        except NotImplementedError as exc:
-            for kind, _ in group:
-                out[kind] = (exc,) * k.size
-            continue
+        samples = nodes.sample(phi)
         phases: Dict[str, np.ndarray] = {}
         for kind, flags in group:
             value, err = nodes.integrate(kind, samples, k, phi.carrier,

@@ -26,18 +26,13 @@ __all__ = [
     "DivergenceError",
     "LevyMeasure",
     "ZeroMeasure",
-    "DensityMeasure",
     "LevyModel",
     "MmmModel",
     "compute_mu_s",
     "c2_split",
     "to_mmm",
     "mmm_cumulant",
-    "mmm_cumulant_quad",
 ]
-
-QUAD_EPSABS = 1e-12
-QUAD_EPSREL = 1e-10
 
 
 class LevyIntegrabilityError(ValueError):
@@ -104,9 +99,9 @@ class LevyMeasure(ABC):
     """Jump measure nu on R \\ {0}.
 
     The operations below are the only integrals the rest of the library
-    needs.  Concrete measures should override ``exp_moment`` / ``x_exp_moment``
-    with closed forms when they have them; the quadrature fallbacks here are
-    the reference implementation and the test oracle.
+    needs, and every measure gives its exponential moments in closed form;
+    the density and its quadrature panels serve the Monte Carlo I2
+    estimator and the quadrature oracle of the tests.
     """
 
     #: admissible open interval for Re(w) in exp_moment(w); +-inf if entire
@@ -137,58 +132,19 @@ class LevyMeasure(ABC):
                 f"exp_moment requires Re(w) in ({self.w_lo}, {self.w_hi}); got {re}"
             )
 
+    @abstractmethod
     def exp_moment(self, w, region: str = "all", check: bool = True):
         """Integral of (e^{wx} - 1) nu(dx) over the region ('all'|'pos'|'neg').
 
         The -1 makes the integrand O(x) at the origin, which keeps
         infinite-activity measures (density ~ 1/|x|) integrable.  Accepts
-        scalar or array ``w``.  ``check=False`` skips the strip guard; only
-        meaningful for closed-form measures whose formulas continue
-        analytically.
+        scalar or array ``w``.  ``check=False`` skips the strip guard and
+        evaluates the analytic continuation of the closed form.
         """
-        w = _complex(w)
-        if check:
-            self._check_w(w)
-        elif not getattr(self, "closed_form", False):
-            raise StripError("quadrature-backed measure cannot be continued "
-                             "outside its strip")
-        if not isinstance(w, np.ndarray):
-            return self._quad_exp_moment(w, region)
-        return np.array([self._quad_exp_moment(complex(wi), region)
-                         for wi in w.ravel()]).reshape(w.shape)
 
-    def _quad_exp_moment(self, w: complex, region: str) -> complex:
-        from scipy.integrate import quad
-
-        def f(x):
-            return (np.exp(w * x) - 1.0) * self.density(x)
-
-        val = 0.0 + 0.0j
-        for a, b in self.quad_panels(w_re=max(w.real, 0.0)):
-            if region == "pos" and b <= 0:
-                continue
-            if region == "neg" and a >= 0:
-                continue
-            r = quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                     complex_func=True, limit=200)
-            val += r[0]
-        if not np.isfinite(val):
-            raise LevyIntegrabilityError(
-                f"exp_moment diverged at w={w} over region '{region}'")
-        return val
-
+    @abstractmethod
     def x_exp_moment(self, w: float = 1.0) -> float:
         """Integral of x e^{wx} nu(dx); finite under the |x| moment condition."""
-        from scipy.integrate import quad
-        self._check_w(complex(w))
-
-        def f(x):
-            return x * np.exp(w * x) * self.density(x)
-
-        val = 0.0
-        for a, b in self.quad_panels(w_re=max(w, 0.0)):
-            val += quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)[0]
-        return val
 
     def mean_jump(self) -> float:
         """Integral of x nu(dx)."""
@@ -202,29 +158,13 @@ class LevyMeasure(ABC):
         return float(val.real)
 
     def validate(self) -> None:
-        """Check the integrability conditions: (|x| v x^2) and (e^x-1)^n for n=2,4."""
-        from scipy.integrate import quad
-        try:
-            for n in (2, 4):
-                v = self.exp_power_moment(n)
-                if not np.isfinite(v):
-                    raise LevyIntegrabilityError(
-                        f"exponential jump moment (e^x-1)^{n} diverges")
-        except StripError as exc:
-            raise LevyIntegrabilityError(
-                f"exponential jump moment outside admissible strip: {exc}") from exc
-        m_abs = 0.0
-        for a, b in self.quad_panels():
-            m_abs += quad(lambda x: np.maximum(np.abs(x), x * x) * self.density(x),
-                          a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)[0]
-        if not np.isfinite(m_abs):
-            raise LevyIntegrabilityError("moment integral (|x| v x^2) diverges")
+        """Check the measure's integrability conditions; the closed forms
+        of a measure hold them for every parameter it accepts, unless it
+        says otherwise here."""
 
 
 class ZeroMeasure(LevyMeasure):
     """No jumps (Black-Scholes component only)."""
-
-    closed_form = True
 
     @property
     def is_zero(self) -> bool:
@@ -242,34 +182,6 @@ class ZeroMeasure(LevyMeasure):
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return 0.0
-
-    def validate(self) -> None:
-        return None
-
-
-class DensityMeasure(LevyMeasure):
-    """Levy measure given by a plain density callable; all moments by quadrature.
-
-    ``support`` is a radius beyond which exp(w_max*x)*density is negligible,
-    and ``singular_origin`` marks densities that blow up like 1/|x| at 0 so
-    panels get split there.
-    """
-
-    def __init__(self, density: Callable, support: float = 10.0,
-                 singular_origin: bool = False,
-                 w_lo: float = -math.inf, w_hi: float = math.inf):
-        self._density = density
-        self.support = float(support)
-        self.singular_origin = bool(singular_origin)
-        self.w_lo = float(w_lo)
-        self.w_hi = float(w_hi)
-
-    def density(self, x):
-        return self._density(x)
-
-    def quad_panels(self, w_re: float = 0.0):
-        a = self.support
-        return [(-a, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +247,6 @@ class MmmModel:
     def theta(self, x):
         """Jump tilt theta_x = beta * (e^x - 1); < 1 on the support of nu."""
         return self.beta * (np.exp(x) - 1.0)
-
-    def nu_star_density(self, x):
-        """Density of the tilted measure nu*(dx) = (1 - theta_x) nu(dx)."""
-        return (1.0 - self.theta(x)) * self.measure.density(x)
 
     def exp_moment_star(self, w, check: bool = True):
         """Integral of (e^{wx} - 1) nu*(dx), assembled from base-measure
@@ -430,10 +338,9 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
 
     Psi*(z) = i z b* - sigma^2 z^2 / 2 + integral of
     (e^{izx} - 1 - izx) nu*(dx).  The jump integral is assembled from the
-    base measure's exponential moments, which are closed-form for the
-    shipped models and adaptive quadrature otherwise.  Accepts scalar or
-    array ``z``; ``check_strip=False`` evaluates the analytic continuation
-    of a closed-form measure (used internally for contour tails).
+    base measure's closed-form exponential moments.  Accepts scalar or
+    array ``z``; ``check_strip=False`` evaluates their analytic
+    continuation (used internally for contour tails).
     """
     z = _complex(z)
     if check_strip and not model.measure.is_zero:
@@ -443,21 +350,4 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
                 f"Im(z)={z.imag} outside the cumulant strip ({lo}, {hi})")
     iz = 1j * z
     jump = model.exp_moment_star(iz, check=check_strip) - iz * model.m1_star
-    return iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
-
-
-def mmm_cumulant_quad(model: MmmModel, z: complex) -> complex:
-    """Quadrature oracle for Psi*(z): integrates the tilted Levy density
-    directly, independent of any closed-form exponential moments."""
-    from scipy.integrate import quad
-    z = complex(z)
-    iz = 1j * z
-
-    def f(x):
-        return (np.exp(iz * x) - 1.0 - iz * x) * model.nu_star_density(x)
-
-    jump = 0.0 + 0.0j
-    for a, b in model.measure.quad_panels(w_re=max(-z.imag, 0.0) + 1.0):
-        jump += quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                     complex_func=True, limit=200)[0]
     return iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump

@@ -113,8 +113,6 @@ def _gauss_emoment(m: float, delta: float, w) -> complex:
 class MertonMeasure(LevyMeasure):
     """nu(dx) = gamma * N(m, delta^2) density; total mass gamma."""
 
-    closed_form = True
-
     def __init__(self, gamma: float, m: float, delta: float):
         self.gamma = float(gamma)
         self.m = float(m)
@@ -135,17 +133,18 @@ class MertonMeasure(LevyMeasure):
         g, m, d = self.gamma, self.m, self.delta
         if region == "all":
             return g * (_gauss_emoment(m, d, w) - 1.0)
-        if np.any(w.imag != 0.0):
-            return super().exp_moment(w, region, check=check)
-        wr = float(w.real)
-        # one-sided Gaussian exponential moments via the normal CDF
-        up = ndtr((m + wr * d * d) / d)      # mass of e^{wx} * N over x > 0
+        if region not in ("pos", "neg"):
+            raise ValueError(f"unknown region {region!r}")
+        # one-sided Gaussian exponential moments via the normal CDF, which
+        # is complex off the real axis; a real w keeps the real CDF, whose
+        # last bits the model constants carry
+        if not np.any(w.imag):
+            w = w.real
+        up = ndtr((m + w * d * d) / d)      # mass of e^{wx} * N over x > 0
         p_pos = ndtr(m / d)
         if region == "pos":
-            return complex(g * (_gauss_emoment(m, d, wr) * up - p_pos))
-        if region == "neg":
-            return complex(g * (_gauss_emoment(m, d, wr) * (1.0 - up) - (1.0 - p_pos)))
-        raise ValueError(f"unknown region {region!r}")
+            return _complex(g * (_gauss_emoment(m, d, w) * up - p_pos))
+        return _complex(g * (_gauss_emoment(m, d, w) * (1.0 - up) - (1.0 - p_pos)))
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return self.gamma * (self.m + w * self.delta**2) * float(_gauss_emoment(self.m, self.delta, w).real)
@@ -153,14 +152,9 @@ class MertonMeasure(LevyMeasure):
     def mean_jump(self) -> float:
         return self.gamma * self.m
 
-    def validate(self) -> None:
-        return None  # all moments finite for any (gamma, m, delta)
-
 
 class VgMeasure(LevyMeasure):
     """nu(dx) = C (1_{x<0} e^{-G|x|} + 1_{x>0} e^{-M|x|}) dx / |x|."""
-
-    closed_form = True
 
     def __init__(self, c: float, g: float, m_big: float):
         self.c = float(c)

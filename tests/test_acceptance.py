@@ -17,7 +17,6 @@ from levyhedge import (
     call_price,
     char_fn,
     mmm_cumulant,
-    mmm_cumulant_quad,
     to_mmm,
     transform,
 )
@@ -48,6 +47,7 @@ from levyhedge.oracle_mc import (
     simulate_log_returns,
     tail_upper_from_sample,
 )
+from quadrature import mmm_cumulant_quad
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

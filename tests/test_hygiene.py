@@ -2,7 +2,9 @@
 name resolves, no module imports a name it never uses, no production
 module reaches the adaptive-quadrature oracle ``fourier.transform``, the
 oracle does not reach the batch engine it checks, and the condition
-integral stays on fixed nodes."""
+integral stays on fixed nodes; scipy.integrate serves only the oracle,
+and the quadrature oracle of the Levy-measure moments names none of the
+closed forms it checks."""
 
 import ast
 import importlib
@@ -162,3 +164,84 @@ def test_condition_integral_stays_off_adaptive_quadrature():
     found = _function_references(source, ("theorem4_condition_integral",),
                                  ("quad", "transform"))
     assert not found, f"the condition integral names {found}"
+
+
+def _integrate_imports(source: str):
+    """(scope, line) of each import of scipy.integrate in ``source``, with
+    scope the dotted name of the enclosing functions and classes ("" at
+    module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module] + [f"{child.module}.{alias.name}"
+                                            for alias in child.names]
+            else:
+                modules = []
+            if any(m and m.split(".")[:2] == ["scipy", "integrate"]
+                   for m in modules):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_adaptive_quadrature_is_imported_by_the_oracle_only():
+    # every Levy-measure moment is closed-form; QUADPACK serves only the
+    # reference transform, and the quadrature oracle of the moments lives
+    # in tests/quadrature.py
+    found = [(name, scope)
+             for name in MODULES + ["__init__"]
+             for scope, _ in _integrate_imports(
+                 (SRC / f"{name}.py").read_text(encoding="utf-8"))]
+    assert found == [("fourier", "_quad")]
+
+
+def test_integrate_import_check_detects_each_form():
+    src = ("import scipy.integrate\n"
+           "from scipy import integrate, special\n"
+           "class A:\n"
+           "    def f(self):\n"
+           "        from scipy.integrate import quad\n"
+           "def g():\n"
+           "    from scipy.special import ndtr\n")
+    assert _integrate_imports(src) == [("", 1), ("", 2), ("A.f", 5)]
+
+
+# what the quadrature oracle of tests/quadrature.py checks, so it may not
+# name any of it
+CLOSED_FORMS = ("exp_moment", "exp_moment_star", "mmm_cumulant",
+                "x_exp_moment")
+
+
+def _closed_form_references(source: str):
+    """(function, name, line) for each closed form that a top-level
+    function of ``source`` names."""
+    functions = [node.name for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)]
+    return _function_references(source, functions, CLOSED_FORMS)
+
+
+def test_quadrature_oracle_stays_independent_of_the_closed_forms():
+    source = (Path(__file__).parent / "quadrature.py").read_text(encoding="utf-8")
+    found = _closed_form_references(source)
+    assert not found, f"the quadrature oracle names a closed form: {found}"
+
+
+def test_closed_form_reference_check_detects_each_form():
+    src = ("from levyhedge import mmm_cumulant\n"
+           "def oracle(model, z):\n"
+           "    return mmm_cumulant(model, z)\n"
+           "def moment(measure, w):\n"
+           "    g = measure.exp_moment\n"
+           "    return model.exp_moment_star(w) + measure.x_exp_moment(w)\n")
+    assert _closed_form_references(src) == [
+        ("oracle", "mmm_cumulant", 3), ("moment", "exp_moment", 5),
+        ("moment", "exp_moment_star", 6), ("moment", "x_exp_moment", 6)]

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from levyhedge import (
     AssumptionError,
     char_fn,
-    DensityMeasure,
     LevyIntegrabilityError,
     LevyModel,
     StripError,
@@ -15,10 +14,15 @@ from levyhedge import (
     c2_split,
     compute_mu_s,
     mmm_cumulant,
-    mmm_cumulant_quad,
     to_mmm,
 )
-from levyhedge.models import MertonParams, build_model, merton_model
+from levyhedge.models import MertonParams, VgMeasure, build_model, merton_model
+from quadrature import (
+    mmm_cumulant_quad,
+    quad_exp_moment,
+    quad_x_exp_moment,
+    validate,
+)
 
 
 def bs_model(sigma=0.2, mu=None):
@@ -56,10 +60,8 @@ def test_mu_s_merton_closed_form_vs_quadrature(merton_params):
 
 
 def test_mu_s_integrability_failure_names_moment():
-    # declared strip excludes w = 1, i.e. E[e^x - 1] diverges
-    fat = DensityMeasure(lambda x: np.exp(-0.5 * np.abs(x)) / 2.0,
-                         support=80.0, w_hi=0.5)
-    model = LevyModel(mu=0.0, sigma=0.1, measure=fat)
+    # M = 0.5: the strip excludes w = 1, i.e. E[e^x - 1] diverges
+    model = LevyModel(mu=0.0, sigma=0.1, measure=VgMeasure(1.0, 5.0, 0.5))
     with pytest.raises(LevyIntegrabilityError, match="exponential jump moment"):
         compute_mu_s(model)
 
@@ -203,12 +205,14 @@ def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
                 scalar = mmm_cumulant(mmm, complex(zi), check_strip=check)
                 assert type(scalar) is complex
                 assert vi == pytest.approx(scalar, rel=1e-14)
-        ws = 1j * head
-        for region in ("all", "pos", "neg"):
-            vec = mmm.measure.exp_moment(ws, region)
-            for wi, vi in zip(ws, vec):
-                assert vi == pytest.approx(
-                    mmm.measure.exp_moment(complex(wi), region), rel=1e-14)
+        for ws in (1j * head, np.array([1.0, 2.0, 3.5])):
+            for region in ("all", "pos", "neg"):
+                vec = mmm.measure.exp_moment(ws, region)
+                for wi, vi in zip(ws, vec):
+                    assert vi == pytest.approx(
+                        mmm.measure.exp_moment(wi.item(), region), rel=1e-14)
+            with pytest.raises(ValueError, match="unknown region"):
+                mmm.measure.exp_moment(ws, "bogus")
 
 
 def test_cumulant_scalar_overflow_is_non_finite(pure_jump_merton):
@@ -224,31 +228,37 @@ def test_cumulant_scalar_overflow_is_non_finite(pure_jump_merton):
 
 
 # ---------------------------------------------------------------------------
-# generic density-backed measure agrees with the closed-form one
+# closed-form moments against the quadrature oracle
 # ---------------------------------------------------------------------------
 
-def test_density_measure_clone_of_merton_matches(merton_params, rng):
-    p = merton_params
-    closed = merton_model(p).measure
-    clone = DensityMeasure(closed.density, support=1.5)
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_closed_form_moments_match_quadrature(family, request):
+    measure = build_model(request.getfixturevalue(f"{family}_params")).measure
     for w in [1.0, 2.0, 0.5 + 3j, -1.0 + 10j]:
-        a = closed.exp_moment(w)
-        b = clone.exp_moment(w)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
-    assert clone.x_exp_moment(1.0) == pytest.approx(closed.x_exp_moment(1.0),
-                                                    rel=1e-9)
-    assert clone.mean_jump() == pytest.approx(closed.mean_jump(), rel=1e-9)
+        for region in ("all", "pos", "neg"):
+            a = measure.exp_moment(w, region)
+            b = quad_exp_moment(measure, w, region)
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (w, region)
+    assert measure.x_exp_moment(1.0) == pytest.approx(
+        quad_x_exp_moment(measure, 1.0), rel=1e-9)
+    assert measure.mean_jump() == pytest.approx(
+        quad_x_exp_moment(measure, 0.0), rel=1e-9)
+    measure.validate()
+    validate(measure)
 
 
-def test_generic_model_full_mmm_pipeline(merton_params, merton_mmm):
-    closed = merton_model(merton_params).measure
-    clone = DensityMeasure(closed.density, support=1.5)
-    model = LevyModel(mu=merton_params.mu, sigma=merton_params.sigma,
-                      measure=clone)
-    mmm = to_mmm(model)
-    assert mmm.mu_s == pytest.approx(merton_mmm.mu_s, rel=1e-9)
-    assert mmm.drift_star == pytest.approx(merton_mmm.drift_star, rel=1e-9)
-    assert abs(mmm_cumulant(mmm, -1j)) <= 1e-10
+@pytest.mark.parametrize("m_big", [3.5, 4.5])
+def test_vg_validate_agrees_with_quadrature(m_big):
+    # the closed-form check M > 4 is the (e^x - 1)^4 moment's strip
+    measure = VgMeasure(1.0, 5.0, m_big)
+    checks = (measure.validate, lambda: validate(measure))
+    if m_big > 4.0:
+        for check in checks:
+            check()
+    else:
+        for check in checks:
+            with pytest.raises(ValueError, match="M must exceed 4|strip"):
+                check()
 
 
 def test_degenerate_model_requires_zero_drift():

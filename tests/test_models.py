@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhedge import StripError, mmm_cumulant, mmm_cumulant_quad, to_mmm
+from levyhedge import StripError, mmm_cumulant, to_mmm
 from levyhedge.models import (
     MertonMeasure,
     MertonParams,
@@ -15,6 +15,7 @@ from levyhedge.models import (
     vg_model,
     vg_to_kappa,
 )
+from quadrature import mmm_cumulant_quad
 
 # frozen quadrature-oracle values for the benchmark parameter sets
 # (adaptive quadrature of the defining integrals, rel tol 1e-10)

@@ -17,6 +17,7 @@ from levyhedge.oracle_mc import (
     simulate_log_returns,
     tail_upper_from_sample,
 )
+from quadrature import nu_star_density
 
 FAST = McConfig(n_paths=200_000, seed=11, horizon=HORIZON)
 
@@ -61,7 +62,7 @@ def test_vg_sample_matches_physical_moments(vg_mmm):
     from scipy.integrate import quad
     s = simulate_log_returns(vg_mmm, McConfig(n_paths=400_000, seed=3,
                                               horizon=HORIZON))
-    var_star = sum(quad(lambda x: x * x * vg_mmm.nu_star_density(x), a, b,
+    var_star = sum(quad(lambda x: x * x * nu_star_density(vg_mmm, x), a, b,
                         limit=200)[0] for a, b in [(-3, 0), (0, 3)])
     assert s.log_returns.var() == pytest.approx(HORIZON * var_star, rel=0.02)
 
