@@ -251,12 +251,10 @@ def test_closed_form_moments_match_quadrature(family, request):
 def test_vg_validate_agrees_with_quadrature(m_big):
     # the closed-form check M > 4 is the (e^x - 1)^4 moment's strip
     measure = VgMeasure(1.0, 5.0, m_big)
-    checks = (measure.validate, lambda: validate(measure))
-    if m_big > 4.0:
-        for check in checks:
+    for check in (measure.validate, lambda: validate(measure)):
+        if m_big > 4.0:
             check()
-    else:
-        for check in checks:
+        else:
             with pytest.raises(ValueError, match="M must exceed 4|strip"):
                 check()
 
