@@ -3,40 +3,47 @@
 Model prices are MMM expectations E*[(S_T - K)^+] at zero rates, from the
 "price" kind of the fixed-node batch engine (``fourier.call_prices``): one
 cumulant evaluation per parameter set, on nodes shared by every expiry,
-within about 1e-14 of spot of the adaptive ``call_price``.  The fit
-minimizes the RMSE between model and mid prices with a derivative-free
-Nelder-Mead search (restarted once) over transformed parameters, plus a
-quadratic penalty for the structural constraints:
+within about 1e-14 of spot of the adaptive ``call_price``.  The fit is
+bounded trust-region-reflective least squares (``scipy.optimize.
+least_squares``, method "trf") on the residuals (model - mid) / sqrt(n),
+whose norm is the RMSE, in box coordinates that are exactly the
+admissible set 0 >= mu_s > -(sigma^2 + C2):
 
-* both families: 0 >= mu_s > -(sigma^2 + C2);
-* variance gamma: M > 4, and the drift constraint is equivalent to the
-  band 1 <= M - G < 3, i.e. -3 delta^2/2 < m <= -delta^2/2 in the
-  subordinator parametrization -- which makes projection onto the feasible
-  set a one-line clip.
+* Merton: (log sigma, log gamma, m, log delta, f), with f = -beta in
+  [0, 1) placing mu_s at -f (sigma^2 + C2); mu follows from f;
+* variance gamma: (log C, M, D), with M > 4 and D = M - G in [1, 3), the
+  form the drift constraint takes for it.
 
-Infeasible trial points are projected before pricing so the objective is
-finite everywhere; the penalty keeps the optimum interior.
+The open edges keep a margin of 1e-6.  The Jacobian is analytic: with
+w = iz, Psi*(z) = w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
+- beta (g(w + 1) - g(w) - g(1)), g the base measure's ``exp_moment``, so
+dPsi*/dtheta is closed form (beta = g(1) / C2 for variance gamma), and the
+price derivatives are the engine's own contraction with phi replaced by
+tau dPsi*/dtheta phi.  The fit runs from three starts: the caller's,
+clamped into the box, and that point with f (or D) at 1/4 and at 3/4 of
+its range, because the variance-gamma RMSE has a second minimum along D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .fourier import FourierConfig, call_prices
-from .levy_core import AccuracyError, AssumptionError, c2_split, compute_mu_s, to_mmm
-from .models import (
-    MertonParams,
-    VgParams,
-    build_model,
-    vg_from_kappa,
-    vg_to_kappa,
+from .levy_core import (
+    AccuracyError,
+    AssumptionError,
+    MmmModel,
+    c2_split,
+    compute_mu_s,
+    to_mmm,
 )
+from .models import MertonParams, VgParams, _mu_for_mu_s, build_model
 
 __all__ = [
     "Quote",
@@ -90,11 +97,20 @@ class ConstraintReport:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """A fit and how it ended.  ``iterations`` counts the trust-region steps
+    tried over all starts, ``nfev`` and ``njev`` the residual and Jacobian
+    evaluations; ``status`` and ``message`` are scipy's stopping reason for
+    the returned start (status > 0: a tolerance was met)."""
+
     params: Params
     rmse: float
     iterations: int
     converged: bool
     constraint_report: ConstraintReport
+    status: int
+    message: str
+    nfev: int
+    njev: int
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +169,27 @@ def write_quotes(path, qs: QuoteSet) -> None:
 # ---------------------------------------------------------------------------
 
 def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig,
-                cache: Optional[dict] = None) -> np.ndarray:
+                cache: Optional[dict] = None, dpsi: Optional[Callable] = None):
+    """Model prices in quote order; with ``dpsi`` (a family's, see
+    ``_Family``) the pair (prices, their Jacobian in box coordinates)."""
     model = to_mmm(build_model(params))
-    out = np.empty(len(qs.quotes))
     by_expiry: Dict[float, List[int]] = {}
     for idx, q in enumerate(qs.quotes):
         by_expiry.setdefault(q.expiry, []).append(idx)
     strikes = [np.array([qs.quotes[i].strike for i in idxs])
                for idxs in by_expiry.values()]
-    prices = call_prices(model, qs.spot, list(by_expiry), strikes, cfg, cache)
-    for idxs, p in zip(by_expiry.values(), prices):
-        out[np.array(idxs)] = p
-    return out
+    order = np.concatenate([np.array(idxs) for idxs in by_expiry.values()])
+
+    def in_quote_order(blocks: List[np.ndarray]) -> np.ndarray:
+        out = np.empty((order.size,) + blocks[0].shape[1:])
+        out[order] = np.concatenate(blocks)
+        return out
+
+    args = (model, qs.spot, list(by_expiry), strikes, cfg, cache)
+    if dpsi is None:
+        return in_quote_order(call_prices(*args))
+    prices, jacobians = call_prices(*args, dpsi=lambda z: dpsi(model, z))
+    return in_quote_order(prices), in_quote_order(jacobians)
 
 
 def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig,
@@ -177,15 +202,21 @@ def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig,
 
 
 # ---------------------------------------------------------------------------
-# feasibility handling
+# box coordinates and the analytic Jacobian
 # ---------------------------------------------------------------------------
 
 def constraint_report(params: Params) -> ConstraintReport:
+    """The drift constraint of ``params``; ``ok`` applies ``to_mmm``'s own
+    test, so a mu_s rounded just above 0 passes as it does there."""
     model = build_model(params)
     mu_s = compute_mu_s(model)
     c2p, c2m = c2_split(model)
     lower = -(model.sigma**2 + c2p + c2m)
-    ok = 0.0 >= mu_s > lower
+    try:
+        to_mmm(model)
+        ok = True
+    except AssumptionError:
+        ok = False
     notes = ""
     if isinstance(params, VgParams):
         band = params.m_par - params.g_par
@@ -194,46 +225,115 @@ def constraint_report(params: Params) -> ConstraintReport:
     return ConstraintReport(ok=ok, mu_s=mu_s, lower=lower, notes=notes)
 
 
-def _merton_from_theta(theta: np.ndarray) -> Tuple[MertonParams, float]:
-    """Decode, project to feasibility, and return the pre-projection violation."""
-    mu, lsig, lgam, m, ldel = theta
-    p = MertonParams(mu=float(mu), sigma=math.exp(lsig), gamma=math.exp(lgam),
-                     m=float(m), delta=math.exp(ldel))
+# margin kept inside the open edges of the box (f < 1, M > 4, D < 3)
+_EDGE = 1e-6
+# a fit whose RMSE is at most this share of spot reprices the quotes to
+# rounding: no other start can better it, so the remaining starts are
+# skipped.  On exact quotes a Merton start away from the true f would
+# otherwise creep along that weakly identified coordinate for hundreds of
+# steps, its RMSE falling ~0.2% per step from ~5e-11 of spot.
+_EXACT = 1e-12
+
+
+def _cumulant_grad(model: MmmModel, z, grad_g: Callable, beta_follows: bool):
+    """Psi*(z) in the compact form
+
+        w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
+            - beta (g(w + 1) - g(w) - g(1)),   w = iz,
+
+    with g the base measure's ``exp_moment`` and C2 = g(2) - 2 g(1); its
+    derivative along beta; and its derivatives along the jump parameters
+    whose derivatives of g ``grad_g(w)`` stacks on a leading axis.  Those
+    hold beta fixed, unless ``beta_follows``: then beta = g(1) / C2 moves
+    with them, as for variance gamma, whose mu_s is g(1)."""
+    w = 1j * np.asarray(z, dtype=complex)
+    g = model.measure.exp_moment
+    gw, gw1 = g(w, check=False), g(w + 1.0, check=False)
+    g1, c2, beta, s2 = complex(model.exp_moment_1), model.c2, model.beta, model.sigma**2
+    psi = (w * (beta * c2 - 0.5 * s2 - g1) + 0.5 * s2 * w * w
+           + (1.0 + beta) * gw - beta * gw1 + beta * g1)
+    d_beta = w * c2 + gw - gw1 + g1
+    dg1, dg2 = grad_g(1.0), grad_g(2.0)
+    dc2 = dg2 - 2.0 * dg1
+    col = (slice(None),) + (None,) * w.ndim
+    d_jumps = (w * (beta * dc2 - dg1)[col] + (1.0 + beta) * grad_g(w)
+               - beta * grad_g(w + 1.0) + (beta * dg1)[col])
+    if beta_follows:
+        d_jumps += ((dg1 - beta * dc2) / c2)[col] * d_beta
+    return psi, d_beta, d_jumps
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A parameter family in box coordinates, the admissible set exactly:
+
+    * Merton: (log sigma, log gamma, m, log delta, f), f = -beta in [0, 1)
+      the position of mu_s = -f (sigma^2 + C2) in its band; mu follows.
+    * variance gamma: (log C, M, D), D = M - G in [1, 3) and M > 4.
+
+    ``tilt`` indexes f or D, the coordinate along which the extra starts
+    are placed; ``dpsi(model, z)`` stacks the derivatives of Psi* along the
+    box coordinates."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    tilt: int
+    to_params: Callable[[np.ndarray], Params]
+    to_box: Callable[[Params], np.ndarray]
+    dpsi: Callable[[MmmModel, np.ndarray], np.ndarray]
+
+
+def _merton_params(x: np.ndarray) -> MertonParams:
+    p = MertonParams(mu=0.0, sigma=math.exp(x[0]), gamma=math.exp(x[1]),
+                     m=float(x[2]), delta=math.exp(x[3]))
+    return replace(p, mu=_mu_for_mu_s(p, float(x[4])))
+
+
+def _merton_box(p: MertonParams) -> np.ndarray:
     rep = constraint_report(p)
-    viol = max(rep.mu_s, 0.0) + max(rep.lower - rep.mu_s, 0.0)
-    if not rep.ok:
-        # mu_s is linear in mu with unit slope: slide mu to mid-range
-        target = rep.lower / 2.0
-        p = MertonParams(mu=p.mu - rep.mu_s + target, sigma=p.sigma,
-                         gamma=p.gamma, m=p.m, delta=p.delta)
-    return p, viol
+    return np.array([math.log(p.sigma), math.log(p.gamma), p.m,
+                     math.log(p.delta), rep.mu_s / rep.lower])
 
 
-def _vg_from_theta(theta: np.ndarray) -> Tuple[VgParams, float]:
-    lkap, m, ldel = theta
-    kappa, delta = math.exp(lkap), math.exp(ldel)
-    d2 = delta * delta
-    lo, hi = -1.499 * d2, -0.501 * d2       # slightly inside the open band
-    m_proj = min(max(m, lo), hi)
-    viol = abs(m - m_proj) / d2
-    root = math.sqrt(m_proj * m_proj + 2.0 * d2 / kappa) / d2
-    m_big = root - m_proj / d2
-    if m_big <= 4.05:
-        # enlarge the subordinator variance until M clears its floor
-        target = 4.2
-        kappa_new = 2.0 * d2 / ((target + m_proj / d2) ** 2 * d2 * d2 - m_proj**2)
-        viol += abs(4.05 - m_big)
-        kappa = min(kappa, max(kappa_new, 1e-8))
-    return vg_from_kappa(kappa, m_proj, delta), viol
+def _merton_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
+    nu = model.measure
+
+    def grad_g(w):
+        d_gamma, d_m, d_delta = nu.exp_moment_grad(w)
+        return np.array([nu.gamma * d_gamma, d_m, nu.delta * d_delta])
+
+    _, d_beta, d_jumps = _cumulant_grad(model, z, grad_g, beta_follows=False)
+    w = 1j * z
+    return np.concatenate([[model.sigma**2 * (w * w - w)], d_jumps, [-d_beta]])
 
 
-def _theta_from_params(params: Params) -> np.ndarray:
-    if isinstance(params, MertonParams):
-        return np.array([params.mu, math.log(params.sigma),
-                         math.log(params.gamma), params.m,
-                         math.log(params.delta)])
-    kappa, m, delta = vg_to_kappa(params)
-    return np.array([math.log(kappa), m, math.log(delta)])
+def _vg_params(x: np.ndarray) -> VgParams:
+    return VgParams(c_par=math.exp(x[0]), g_par=float(x[1] - x[2]),
+                    m_par=float(x[1]))
+
+
+def _vg_box(p: VgParams) -> np.ndarray:
+    return np.array([math.log(p.c_par), p.m_par, p.m_par - p.g_par])
+
+
+def _vg_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
+    nu = model.measure
+
+    def grad_g(w):
+        d_c, d_g, d_m = nu.exp_moment_grad(w)      # G = M - D
+        return np.array([nu.c * d_c, d_g + d_m, -d_g])
+
+    return _cumulant_grad(model, z, grad_g, beta_follows=True)[2]
+
+
+_FAMILIES = {
+    MertonParams: _Family(np.array([-np.inf] * 4 + [0.0]),
+                          np.array([np.inf] * 4 + [1.0 - _EDGE]), 4,
+                          _merton_params, _merton_box, _merton_dpsi),
+    VgParams: _Family(np.array([-np.inf, 4.0 + _EDGE, 1.0]),
+                      np.array([np.inf, np.inf, 3.0 - _EDGE]), 2,
+                      _vg_params, _vg_box, _vg_dpsi),
+}
 
 
 def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
@@ -241,56 +341,84 @@ def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
     """Fit the family of ``init`` (Merton or variance gamma) to the quotes,
     starting from ``init``.
 
-    Derivative-free Nelder-Mead with one restart from the incumbent; the
-    returned parameters always satisfy the structural constraints (hard
-    post-check).  The reported RMSE is that of the returned parameters, and
-    never exceeds the objective at the start point.
+    Bounded trust-region-reflective least squares on the residuals (model -
+    mid) / sqrt(n), in box coordinates (``_Family``) with the analytic
+    Jacobian, at most ``max_iter`` residual evaluations per start.  It runs
+    from three starts: ``init`` clamped into the box, and that point with
+    its tilt coordinate at 1/4 and at 3/4 of its range, since the
+    variance-gamma RMSE has a second minimum along D.  The fit of lowest
+    RMSE is returned; ``converged`` when it stopped on a tolerance with an
+    RMSE no worse than that of the clamped ``init``.
     """
-    from scipy.optimize import minimize  # ~0.3 s to import; only fits need it
+    from scipy.optimize import least_squares  # ~0.3 s to import; only fits need it
     cfg = cfg or FourierConfig()
-    decode = {MertonParams: _merton_from_theta,
-              VgParams: _vg_from_theta}.get(type(init))
-    if decode is None:
+    family = _FAMILIES.get(type(init))
+    if family is None:
         raise TypeError(f"unsupported parameter record {type(init).__name__}")
 
-    scale = float(np.mean([q.mid for q in qs.quotes]))
+    mids = np.array([q.mid for q in qs.quotes])
+    norm = math.sqrt(mids.size)
     cache: dict = {}
+    last: dict = {}
 
-    def objective(theta: np.ndarray) -> float:
-        params, viol = decode(theta)
+    def residuals(x: np.ndarray) -> np.ndarray:
         try:
-            err = rmse(params, qs, cfg, cache)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prices, jac = _prices_for(family.to_params(x), qs, cfg, cache,
+                                          family.dpsi)
         except (AccuracyError, AssumptionError, ValueError):
-            # a trial point the engine cannot price counts as infeasible
-            return 1e8 * scale
-        return err + 1e6 * scale * viol * viol
+            # a trial point the engine cannot price: the step is retried shorter
+            return np.full(mids.size, np.nan)
+        # least_squares asks for the Jacobian at each point it accepts, the
+        # last one it evaluated, and most points are accepted: so the
+        # Jacobian is computed with the prices and kept
+        last["x"], last["jac"] = x.copy(), jac / norm
+        return (prices - mids) / norm
 
-    params0, _ = decode(_theta_from_params(init))
-    theta0 = _theta_from_params(params0)
-    rmse0 = objective(theta0)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        if not np.array_equal(x, last.get("x")):
+            residuals(x)
+        return last["jac"]
 
-    total_iters = 0
-    best_theta, best_val = theta0, rmse0
-    for attempt in range(2):
-        res = minimize(objective, best_theta, method="Nelder-Mead",
-                       options={"maxiter": max_iter, "xatol": 1e-7,
-                                "fatol": 1e-10 * max(scale, 1.0),
-                                "adaptive": True})
-        total_iters += res.nit
-        if res.fun < best_val:
-            best_theta, best_val = res.x, res.fun
-        if res.success and attempt > 0:
+    lo, hi = family.lower, family.upper
+    x0 = np.clip(family.to_box(init), lo, hi)
+    starts = [x0]
+    for share in (0.25, 0.75):
+        x = x0.copy()
+        x[family.tilt] = lo[family.tilt] + share * (hi[family.tilt] - lo[family.tilt])
+        starts.append(x)
+    rmse0 = math.inf
+    best, steps, nfev, njev = None, 0, 0, 0
+    for x in starts:
+        if best is not None and math.sqrt(2.0 * best.cost) <= _EXACT * qs.spot:
             break
-    converged = best_val <= rmse0 + 1e-12
+        r = residuals(x)
+        if not np.all(np.isfinite(r)):
+            continue
+        if x is x0:
+            rmse0 = float(np.linalg.norm(r))
+        # gtol is absolute, in the units of the quotes, so it is off; ftol
+        # and xtol are relative
+        fit = least_squares(residuals, x, jac=jacobian, bounds=(lo, hi),
+                            method="trf", gtol=None, max_nfev=max_iter)
+        steps += fit.nfev - 1
+        nfev += fit.nfev
+        njev += fit.njev
+        if best is None or fit.cost < best.cost:
+            best = fit
+    if best is None:
+        raise AccuracyError("no start point of the fit can be priced")
 
-    params, _ = decode(best_theta)
+    params = family.to_params(best.x)
     rep = constraint_report(params)
     if not rep.ok:
         raise RuntimeError("calibration returned infeasible parameters; "
-                           "projection contract broken")
-    return CalibrationResult(params=params, rmse=rmse(params, qs, cfg),
-                             iterations=total_iters, converged=converged,
-                             constraint_report=rep)
+                           "box contract broken")
+    err = rmse(params, qs, cfg)
+    return CalibrationResult(params=params, rmse=err, iterations=steps,
+                             converged=best.status > 0 and err <= rmse0,
+                             constraint_report=rep, status=best.status,
+                             message=best.message, nfev=nfev, njev=njev)
 
 
 def write_result(path, result: CalibrationResult) -> None:
@@ -302,6 +430,10 @@ def write_result(path, result: CalibrationResult) -> None:
         lines.append(f"{name} = {val!r}")
     lines.append(f"rmse = {result.rmse!r}")
     lines.append(f"iterations = {result.iterations}")
+    lines.append(f"residual_evaluations = {result.nfev}")
+    lines.append(f"jacobian_evaluations = {result.njev}")
+    lines.append(f"status = {result.status}")
+    lines.append(f"stop = {result.message}")
     lines.append(f"converged = {result.converged}")
     rep = result.constraint_report
     lines.append(f"constraint_ok = {rep.ok}")

@@ -315,7 +315,10 @@ def cmd_calibrate(config_path, quotes_path, family: str,
     print(f"family = {family}")
     print(f"params = {result.params}")
     print(f"rmse = {result.rmse:.6g}")
-    print(f"iterations = {result.iterations}, converged = {result.converged}")
+    print(f"iterations = {result.iterations}, residual evaluations = "
+          f"{result.nfev}, jacobian evaluations = {result.njev}")
+    print(f"stop = {result.message} (status {result.status}), "
+          f"converged = {result.converged}")
     print(f"constraints ok = {rep.ok} (mu_s = {rep.mu_s:.6g}, "
           f"lower bound = {rep.lower:.6g}) {rep.notes}")
     return EXIT_OK if result.converged and rep.ok else EXIT_FAIL

@@ -106,9 +106,9 @@ class CharFn:
 
     strip_im   -- open interval of Im(z) where the expectation exists;
     sigma      -- Brownian volatility (drives the tail strategy);
+    fn_analytic-- analytic continuation usable at complex v off the strip;
     carrier    -- asymptotic linear phase rate of log phi along the real
                   axis, tau*(b* - m1*); 0 for subordinated pure-jump models;
-    fn_analytic-- analytic continuation usable at complex v off the strip;
     asymptote  -- for pure-jump models whose jump transform is a sum of
                   logarithms (variance gamma), a callable returning the
                   1/w-series of log phi on the rotated contours and the
@@ -119,8 +119,8 @@ class CharFn:
     horizon: float
     strip_im: Tuple[float, float]
     sigma: float
+    fn_analytic: Callable
     carrier: float = 0.0
-    fn_analytic: Optional[Callable] = None
     asymptote: Optional[Callable] = None
 
     def __call__(self, z):
@@ -609,10 +609,12 @@ class _Nodes:
         Strikes with k >= carrier take the downward contour, the others the
         upward one.  ``phases`` caches e^{-ivk} on every node across calls
         with the same k; ``n_head`` keeps only the first head panels
-        (``samples[0]`` holds just theirs).
+        (``samples[0]`` holds just theirs).  Samples with a leading axis of
+        q functions (without the nested rule) give a (q, strikes) value.
         """
         down = k >= carrier
-        value = np.zeros(k.size)
+        lead = samples[0].shape[:-2]
+        value = np.zeros(lead + (k.size,))
         err = np.zeros(k.size)
         for (name, v, w, d, rot), phi_v in zip(self.paths, samples):
             sel = (slice(None) if name == "head"
@@ -632,7 +634,11 @@ class _Nodes:
             f = _kind_psi(kind, self.alpha, 1j * v, phi_v, model,
                           check=name == "head")
             wf = w * f
-            value[sel] += (rot * np.einsum("spm,pm->s", ph, wf)).real
+            if lead:
+                value[:, sel] += (rot * (wf.reshape(wf.shape[0], -1)
+                                         @ ph.reshape(kk.size, -1).T)).real
+            else:
+                value[sel] += (rot * np.einsum("spm,pm->s", ph, wf)).real
             if d is not None:
                 # |e^{-ivk}| = 1 on the head
                 mag = (np.abs(wf).sum() if name == "head" else
@@ -752,7 +758,7 @@ def _checked(kind: str, chi: float, value: float, err: float,
 
 def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
                 strikes: Sequence[np.ndarray], cfg: FourierConfig,
-                cache: Optional[dict] = None) -> List[np.ndarray]:
+                cache: Optional[dict] = None, dpsi: Optional[Callable] = None):
     """Zero-rate call prices E*[(S_tau - K)^+] of one model at several
     expiries, ``strikes[j]`` at ``expiries[j]``: the engine's "price" kind
     without error estimates.
@@ -765,6 +771,14 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     may pass the same ``cache`` dict each time: it keeps the nodes and
     e^{-ivk} while they stay valid.  A price that is not finite, or leaves
     [0, inf) by more than the clamp tolerance, raises AccuracyError.
+
+    With ``dpsi``, a map from an array of z to the derivatives of Psi along
+    n parameters (an (n, *z.shape) array), the result is the pair (prices,
+    jacobians), ``jacobians[j]`` the (strikes, n) derivatives of the prices
+    at ``expiries[j]``: the same contraction with phi replaced by tau * dPsi
+    * phi, beside the prices' own, which stay bit-identical.  The closed-form
+    asymptote past the last contour node, which only strikes next to the
+    carrier take (``_tails``), is left out of the derivatives.
     """
     phis = [_char_fn(model, tau) for tau in expiries]
     _check_martingale(model, max(expiries))
@@ -788,22 +802,32 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     nodes = cache["nodes"]
     psi = [mmm_cumulant(model, v - 1j * a, check_strip=name == "head")
            for name, v, _, _, _ in nodes.paths]
-    out = []
+    grads = None if dpsi is None else [dpsi(v - 1j * a)
+                                       for _, v, _, _, _ in nodes.paths]
+    out, jacobians = [], []
     for j, (phi, (v_end, _), k) in enumerate(zip(phis, ranges, logs)):
         n = nodes.head_panels(v_end)
         samples = [np.exp(phi.horizon * psi[0][:n])] \
             + [np.exp(phi.horizon * p) for p in psi[1:]]
+        phases = cache.setdefault(j, {})
         value, _ = nodes.integrate("price", samples, k, phi.carrier, None,
-                                   cache.setdefault(j, {}), n_head=n)
+                                   phases, n_head=n)
         tail, _ = _tails("price", phi, None, a, k, nodes.s_end)
-        prices = np.array([_prefactor("price", a, x) for x in k]) * (value + tail)
+        pre = np.array([_prefactor("price", a, x) for x in k])
+        prices = pre * (value + tail)
         for i, p in enumerate(prices):
             if not math.isfinite(p):
                 raise AccuracyError(f"price is not finite at expiry "
                                     f"{phi.horizon} and chi={math.exp(k[i])}")
             prices[i] = _clamped("price", p, 0.0, [])
         out.append(spot * prices)
-    return out
+        if grads is not None:
+            heads = [grads[0][:, :n]] + grads[1:]
+            columns, _ = nodes.integrate(
+                "price", [phi.horizon * d * f for d, f in zip(heads, samples)],
+                k, phi.carrier, None, phases, n_head=n)
+            jacobians.append(spot * (pre * columns).T)
+    return out if dpsi is None else (out, jacobians)
 
 
 # ---------------------------------------------------------------------------

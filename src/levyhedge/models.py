@@ -146,6 +146,14 @@ class MertonMeasure(LevyMeasure):
             return _complex(g * (_gauss_emoment(m, d, w) * up - p_pos))
         return _complex(g * (_gauss_emoment(m, d, w) * (1.0 - up) - (1.0 - p_pos)))
 
+    def exp_moment_grad(self, w) -> np.ndarray:
+        """Derivatives of exp_moment(w) (region "all") along (gamma, m,
+        delta), stacked on a leading axis of 3."""
+        w = _complex(w)
+        e = _gauss_emoment(self.m, self.delta, w)
+        return np.array([e - 1.0, self.gamma * w * e,
+                         self.gamma * self.delta * w * w * e])
+
     def x_exp_moment(self, w: float = 1.0) -> float:
         return self.gamma * (self.m + w * self.delta**2) * float(_gauss_emoment(self.m, self.delta, w).real)
 
@@ -200,6 +208,15 @@ class VgMeasure(LevyMeasure):
             raise ValueError(f"unknown region {region!r}")
         return out
 
+    def exp_moment_grad(self, w) -> np.ndarray:
+        """Derivatives of exp_moment(w) (region "all") along (C, G, M),
+        stacked on a leading axis of 3; no strip guard."""
+        w = _complex(w)
+        c, g, mb = self.c, self.g, self.m_big
+        return np.array([self.exp_moment(w, check=False) / c,
+                         c * (1.0 / g - 1.0 / (g + w)),
+                         c * (1.0 / mb - 1.0 / (mb - w))])
+
     def x_exp_moment(self, w: float = 1.0) -> float:
         self._check_w(complex(w))
         return self.c * (1.0 / (self.m_big - w) - 1.0 / (self.g + w))
@@ -246,14 +263,14 @@ def build_model(params: Union[MertonParams, VgParams],
     raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
 
-def _mu_for_mu_s(p: MertonParams) -> float:
-    """Drift placing mu_s at -(sigma^2 + C2)/2, the midpoint of the
-    admissible interval 0 >= mu_s > -(sigma^2 + C2), for the volatility and
-    jumps of ``p`` (its own mu is ignored)."""
+def _mu_for_mu_s(p: MertonParams, fraction: float = 0.5) -> float:
+    """Drift placing mu_s at -fraction * (sigma^2 + C2), by default the
+    midpoint of the admissible interval 0 >= mu_s > -(sigma^2 + C2), for the
+    volatility and jumps of ``p`` (its own mu is ignored)."""
     probe = merton_model(replace(p, mu=0.0))
     mu_s0 = compute_mu_s(probe)  # mu_s at mu = 0; mu_s has unit slope in mu
     c2p, c2m = c2_split(probe)
-    return -(probe.sigma**2 + c2p + c2m) / 2.0 - mu_s0
+    return -fraction * (probe.sigma**2 + c2p + c2m) - mu_s0
 
 
 def merton_c2_minus(p: MertonParams) -> float:

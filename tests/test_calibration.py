@@ -1,5 +1,6 @@
 import math
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from scipy.special import ndtr
 
 from levyhedge import FourierConfig, call_price, char_fn, to_mmm
 from levyhedge.benchmarks import SPOT
+from levyhedge.benchmarks import merton_benchmark, vg_benchmark
 from levyhedge.calibration import (
+    _FAMILIES,
     CalibrationResult,
     Quote,
     QuoteSet,
+    _cumulant_grad,
+    _prices_for,
     calibrate,
     constraint_report,
     read_quotes,
@@ -19,9 +24,12 @@ from levyhedge.calibration import (
     write_result,
 )
 from levyhedge.fourier import call_prices
+from levyhedge.levy_core import mmm_cumulant
 from levyhedge.models import (
     MertonParams,
     VgParams,
+    _mu_for_mu_s,
+    build_model,
     merton_model,
     vg_from_kappa,
     vg_model,
@@ -33,6 +41,22 @@ EXPIRIES = [30 / 365, 58 / 365, 86 / 365, 149 / 365, 240 / 365, 275 / 365,
             331 / 365]
 MONEYNESS = [0.85, 0.88, 0.92, 0.95, 0.97, 0.99, 1.005, 1.02, 1.05, 1.08,
              1.12, 1.15]
+# the benchmark quote sets: 80 quotes per family, priced by the adaptive
+# call_price at the benchmark parameters
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def benchmark_start(family: str, scale: float):
+    """The benchmark truth scaled by e^{+-scale}, alternating in sign over
+    (sigma, gamma, m, delta) with mu mid-band, or over (kappa, m, delta)."""
+    f = np.exp(scale * np.array([1.0, -1.0, 1.0, -1.0]))
+    if family == "merton":
+        t = merton_benchmark()
+        p = MertonParams(0.0, t.sigma * f[0], t.gamma * f[1], t.m * f[2],
+                         t.delta * f[3])
+        return MertonParams(_mu_for_mu_s(p), p.sigma, p.gamma, p.m, p.delta)
+    kappa, m, delta = vg_to_kappa(vg_benchmark())
+    return vg_from_kappa(kappa * f[0], m * f[1], delta * f[2])
 
 
 def synth_quotes(params, cfg, n_exp=7, per_exp=12) -> QuoteSet:
@@ -215,7 +239,8 @@ def test_infeasible_init_is_projected(merton_params, cfg):
     assert not constraint_report(bad).ok
     res = calibrate(qs, bad, cfg, max_iter=150)
     assert res.constraint_report.ok
-    # projection plus optimization beats a feasible but detuned reference
+    # clamping into the box plus the fit beats a feasible but detuned
+    # reference
     detuned = MertonParams(mu=p.mu - 0.002, sigma=p.sigma * 1.5,
                            gamma=p.gamma, m=p.m, delta=p.delta)
     assert constraint_report(detuned).ok
@@ -248,6 +273,66 @@ def test_vg_fit_record_holds_plain_floats(vg_fit, tmp_path):
         assert float(rec[key]) == val
 
 
+def test_fit_reports_how_it_stopped(vg_fit):
+    _, _, res = vg_fit
+    assert res.nfev >= res.njev > 0
+    assert res.iterations > 0
+    assert res.converged == (res.status > 0)
+    assert "termination" in res.message
+
+
+def test_vg_fit_escapes_the_second_minimum(cfg):
+    # over D = M - G the RMSE has a second minimum of about 1.12e-5 at
+    # D ~ 1.006, a saddle near D = 2 and the truth at D = 2.97, 0.03 from
+    # the open edge of D's box; from the e^0.5 start D lies below 2, and
+    # only the start at 3/4 of the box reaches the truth
+    qs = read_quotes(GOLDEN / "quotes_vg.csv")
+    init = benchmark_start("vg", 0.5)
+    assert init.m_par - init.g_par < 2.0
+    res = calibrate(qs, init, cfg)
+    assert abs(res.params.m_par - res.params.g_par - 2.97) <= 1e-3
+    assert res.rmse <= 1e-9
+    assert res.converged
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+@pytest.mark.parametrize("scale", [0.0, 0.05])
+def test_jacobian_matches_central_differences(family, scale, cfg):
+    # at the truth and at the benchmark start, each analytic column of the
+    # residuals' Jacobian in box coordinates against central differences
+    qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
+    init = benchmark_start(family, scale)
+    box = _FAMILIES[type(init)]
+    x = box.to_box(init)
+    _, jac = _prices_for(box.to_params(x), qs, cfg, dpsi=box.dpsi)
+    for q in range(x.size):
+        # rounding limits the weakly identified Merton f column below ~1e-4
+        h = 1e-4 * max(1.0, abs(x[q]))
+        step = np.eye(x.size)[q] * h
+        fd = (_prices_for(box.to_params(x + step), qs, cfg)
+              - _prices_for(box.to_params(x - step), qs, cfg)) / (2.0 * h)
+        assert np.linalg.norm(jac[:, q] - fd) <= 1e-6 * np.linalg.norm(jac[:, q]), q
+
+
+@pytest.mark.parametrize("params", [merton_benchmark(), vg_benchmark()],
+                         ids=["merton", "vg"])
+def test_compact_cumulant_matches_mmm_cumulant(params, cfg):
+    # the compact form of Psi* that the Jacobian differentiates, on head
+    # points of the damping line and, for the pure-jump model, on both
+    # rotated contours (the engine samples a diffusive model on its head
+    # alone)
+    model = to_mmm(build_model(params))
+    v = np.linspace(0.0, 409.6, 97)
+    if model.sigma == 0.0:
+        s = np.geomspace(0.5, 2.0e5, 60)
+        v = np.concatenate([v, 409.6 - 1j * s, 409.6 + 1j * s])
+    z = v - 1j * cfg.alpha
+    grad = model.measure.exp_moment_grad
+    psi = _cumulant_grad(model, z, grad, beta_follows=False)[0]
+    ref = mmm_cumulant(model, z, check_strip=False)
+    assert np.max(np.abs(psi - ref) / np.abs(ref)) <= 1e-14
+
+
 def test_calibrate_validates_inputs(merton_params, cfg):
     qs = synth_quotes(merton_params, cfg, n_exp=1, per_exp=3)
     with pytest.raises(TypeError, match="unsupported"):
@@ -257,13 +342,19 @@ def test_calibrate_validates_inputs(merton_params, cfg):
 def test_write_result(tmp_path, merton_params, cfg):
     rep = constraint_report(merton_params)
     res = CalibrationResult(params=merton_params, rmse=0.05, iterations=10,
-                            converged=True, constraint_report=rep)
+                            converged=True, constraint_report=rep, status=2,
+                            message="`ftol` termination condition is satisfied.",
+                            nfev=11, njev=9)
     path = tmp_path / "result.txt"
     write_result(path, res)
     text = path.read_text()
     assert "family = merton" in text
     assert "rmse = 0.05" in text
     assert "constraint_ok = True" in text
+    assert "residual_evaluations = 11" in text
+    assert "jacobian_evaluations = 9" in text
+    assert "status = 2" in text
+    assert "stop = `ftol` termination condition is satisfied." in text
 
 
 def test_vg_constraint_band():

@@ -260,10 +260,11 @@ def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
 def test_verify_negative_control_fails(bs_mmm):
     # mis-specified characteristic function: drift off by 2 vol points
     from levyhedge import CharFn, mmm_cumulant
-    phi_bad = CharFn(
-        fn=lambda z: np.exp(0.05 * (mmm_cumulant(bs_mmm, z)
-                                    + 1j * np.asarray(z, complex) * 0.02)),
-        horizon=0.05, strip_im=bs_mmm.strip(), sigma=bs_mmm.sigma)
+    def bad(z):
+        return np.exp(0.05 * (mmm_cumulant(bs_mmm, z)
+                              + 1j * np.asarray(z, complex) * 0.02))
+    phi_bad = CharFn(fn=bad, horizon=0.05, strip_im=bs_mmm.strip(),
+                     sigma=bs_mmm.sigma, fn_analytic=bad)
     rows, ok = verify_report(bs_mmm, phi_bad, [1.0],
                              FourierConfig(),
                              McConfig(n_paths=120_000, seed=3, horizon=0.05))
@@ -274,7 +275,7 @@ def test_verify_negative_control_fails(bs_mmm):
 # calibrate command
 # ---------------------------------------------------------------------------
 
-def test_calibrate_cli_merton(tmp_path, merton_params, cfg):
+def test_calibrate_cli_merton(tmp_path, merton_params, cfg, capsys):
     mmm = to_mmm(merton_model(merton_params))
     quotes = []
     for T in (58 / 365, 149 / 365):
@@ -298,9 +299,14 @@ init_delta = {p.delta * 0.9}
     code = main(["calibrate", "--config", str(ini), "--quotes", str(qpath),
                  "--family", "merton", "--out", str(out)])
     assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "residual evaluations = " in printed
+    assert "stop = `" in printed
     text = out.read_text()
     assert "family = merton" in text
     assert "constraint_ok = True" in text
+    assert "residual_evaluations = " in text
+    assert "converged = True" in text
     got = float(next(l for l in text.splitlines() if l.startswith("sigma"))
                 .split("=")[1])
     assert got == pytest.approx(p.sigma, rel=0.05)

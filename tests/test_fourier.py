@@ -216,10 +216,15 @@ def test_condition_integral_stable_under_doubling(phi_merton):
     assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
 
 
+def _atom(z):
+    # the characteristic function of a point mass at 0.01
+    return np.exp(1j * np.asarray(z, complex) * 0.01)
+
+
 def test_condition_integral_divergence_error():
     # a distribution with an atom: |phi| does not decay at all
-    flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
-                  horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
+    flat = CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+                  fn_analytic=_atom)
     with pytest.raises(DivergenceError):
         theorem4_condition_integral(flat)
 
@@ -251,10 +256,12 @@ def test_condition_integral_small_stable_power_is_finite():
 def test_condition_integral_drifting_decay_diverges():
     # no decay at all (an atom), and a decay power that keeps falling
     # (1/log v: the power fitted per decade never settles)
-    flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
-                  horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
-    slow = CharFn(fn=lambda z: 1.0 / np.log(np.e + np.abs(z)),
-                  horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0)
+    def slow_fn(z):
+        return 1.0 / np.log(np.e + np.abs(z))
+    flat = CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+                  fn_analytic=_atom)
+    slow = CharFn(fn=slow_fn, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+                  fn_analytic=slow_fn)
     for phi in (flat, slow):
         with pytest.raises(DivergenceError):
             theorem4_condition_integral(phi)

@@ -78,8 +78,10 @@ def test_bound_t4_scales_as_one_over_chi(vg_mmm, phi_vg, cfg):
 
 def test_bound_t4_absent_when_condition_diverges(vg_mmm, phi_vg, cfg):
     from levyhedge import CharFn
-    flat = CharFn(fn=lambda z: np.exp(1j * np.asarray(z, complex) * 0.01),
-                  horizon=HORIZON, strip_im=(-5.0, 5.0), sigma=0.0)
+    def atom(z):
+        return np.exp(1j * np.asarray(z, complex) * 0.01)
+    flat = CharFn(fn=atom, horizon=HORIZON, strip_im=(-5.0, 5.0), sigma=0.0,
+                  fn_analytic=atom)
     assert bound_t4_constant(vg_mmm, flat) is None
 
 

@@ -3,8 +3,8 @@ name resolves, no module imports a name it never uses, no production
 module reaches the adaptive-quadrature oracle ``fourier.transform``, the
 oracle does not reach the batch engine it checks, and the condition
 integral stays on fixed nodes; scipy.integrate serves only the oracle,
-and the quadrature oracle of the Levy-measure moments names none of the
-closed forms it checks."""
+scipy.optimize only the body of ``calibrate``, and the quadrature oracle
+of the Levy-measure moments names none of the closed forms it checks."""
 
 import ast
 import importlib
@@ -166,8 +166,8 @@ def test_condition_integral_stays_off_adaptive_quadrature():
     assert not found, f"the condition integral names {found}"
 
 
-def _integrate_imports(source: str):
-    """(scope, line) of each import of scipy.integrate in ``source``, with
+def _scipy_imports(source: str, package: str = "integrate"):
+    """(scope, line) of each import of scipy.<package> in ``source``, with
     scope the dotted name of the enclosing functions and classes ("" at
     module level)."""
     found = []
@@ -184,7 +184,7 @@ def _integrate_imports(source: str):
                                             for alias in child.names]
             else:
                 modules = []
-            if any(m and m.split(".")[:2] == ["scipy", "integrate"]
+            if any(m and m.split(".")[:2] == ["scipy", package]
                    for m in modules):
                 found.append((scope, child.lineno))
             visit(child, scope)
@@ -199,7 +199,7 @@ def test_adaptive_quadrature_is_imported_by_the_oracle_only():
     # in tests/quadrature.py
     found = [(name, scope)
              for name in MODULES + ["__init__"]
-             for scope, _ in _integrate_imports(
+             for scope, _ in _scipy_imports(
                  (SRC / f"{name}.py").read_text(encoding="utf-8"))]
     assert found == [("fourier", "_quad")]
 
@@ -212,7 +212,25 @@ def test_integrate_import_check_detects_each_form():
            "        from scipy.integrate import quad\n"
            "def g():\n"
            "    from scipy.special import ndtr\n")
-    assert _integrate_imports(src) == [("", 1), ("", 2), ("A.f", 5)]
+    assert _scipy_imports(src) == [("", 1), ("", 2), ("A.f", 5)]
+
+
+def test_optimizer_is_imported_inside_calibrate_only():
+    # scipy.optimize takes about 0.3 s to import: at module level it would
+    # add that to the set-up of every verb, sweep and verify included
+    found = [(name, scope)
+             for name in MODULES + ["__init__"]
+             for scope, _ in _scipy_imports(
+                 (SRC / f"{name}.py").read_text(encoding="utf-8"), "optimize")]
+    assert found == [("calibration", "calibrate")]
+
+
+def test_optimizer_import_check_detects_each_form():
+    src = ("from scipy.optimize import least_squares\n"
+           "def calibrate():\n"
+           "    import scipy.optimize\n"
+           "    from scipy import integrate\n")
+    assert _scipy_imports(src, "optimize") == [("", 1), ("calibrate", 3)]
 
 
 # what the quadrature oracle of tests/quadrature.py checks, so it may not
