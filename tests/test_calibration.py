@@ -7,8 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from levyhedge import FourierConfig, call_price, char_fn, to_mmm
-from levyhedge.benchmarks import SPOT
-from levyhedge.benchmarks import merton_benchmark, vg_benchmark
+from levyhedge.benchmarks import SPOT, merton_benchmark, vg_benchmark
 from levyhedge.calibration import (
     _FAMILIES,
     CalibrationResult,
@@ -28,7 +27,6 @@ from levyhedge.levy_core import mmm_cumulant
 from levyhedge.models import (
     MertonParams,
     VgParams,
-    _mu_for_mu_s,
     build_model,
     merton_model,
     vg_from_kappa,
@@ -36,6 +34,7 @@ from levyhedge.models import (
     vg_to_kappa,
 )
 from levyhedge.oracle_mc import McConfig, price_from_sample, simulate_log_returns
+from test_golden import benchmark_start
 
 EXPIRIES = [30 / 365, 58 / 365, 86 / 365, 149 / 365, 240 / 365, 275 / 365,
             331 / 365]
@@ -44,19 +43,6 @@ MONEYNESS = [0.85, 0.88, 0.92, 0.95, 0.97, 0.99, 1.005, 1.02, 1.05, 1.08,
 # the benchmark quote sets: 80 quotes per family, priced by the adaptive
 # call_price at the benchmark parameters
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def benchmark_start(family: str, scale: float):
-    """The benchmark truth scaled by e^{+-scale}, alternating in sign over
-    (sigma, gamma, m, delta) with mu mid-band, or over (kappa, m, delta)."""
-    f = np.exp(scale * np.array([1.0, -1.0, 1.0, -1.0]))
-    if family == "merton":
-        t = merton_benchmark()
-        p = MertonParams(0.0, t.sigma * f[0], t.gamma * f[1], t.m * f[2],
-                         t.delta * f[3])
-        return MertonParams(_mu_for_mu_s(p), p.sigma, p.gamma, p.m, p.delta)
-    kappa, m, delta = vg_to_kappa(vg_benchmark())
-    return vg_from_kappa(kappa * f[0], m * f[1], delta * f[2])
 
 
 def synth_quotes(params, cfg, n_exp=7, per_exp=12) -> QuoteSet:

@@ -39,10 +39,6 @@ SWEEP_TAUS = {"1d": 1.0 / 365.0, "0.05": 0.05, "1y": 1.0}
 VERIFY_PATHS = 100_000
 VERIFY_SEED = 20160420
 VERIFY_CHIS = (0.9037, 0.95, 1.0, 1.05, 1.1891)
-# calibration start points: the truth scaled by e^{+-0.05}, alternating in
-# sign over (sigma, gamma, m, delta) for Merton and (kappa, m, delta) for VG
-START_LOG_FACTORS = {"merton": (0.05, -0.05, 0.05, -0.05),
-                     "vg": (0.05, -0.05, 0.05)}
 
 
 def _model_section(family: str) -> str:
@@ -85,8 +81,11 @@ def _verify_rows(family: str, tmp: Path):
     return {"ok": ok, "rows": rows}
 
 
-def _start_point(family: str):
-    f = np.exp(START_LOG_FACTORS[family])
+def benchmark_start(family: str, scale: float = 0.05):
+    """A calibration start point: the truth scaled by e^{+-scale},
+    alternating in sign over (sigma, gamma, m, delta) with mu mid-band for
+    Merton, and over (kappa, m, delta) for VG."""
+    f = np.exp(scale * np.array([1.0, -1.0, 1.0, -1.0]))
     if family == "merton":
         t = merton_benchmark()
         p = MertonParams(0.0, t.sigma * f[0], t.gamma * f[1], t.m * f[2],
@@ -101,7 +100,7 @@ def _rmse_records():
     for family in FAMILIES:
         qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
         truth = merton_benchmark() if family == "merton" else vg_benchmark()
-        for name, p in (("truth", truth), ("start", _start_point(family))):
+        for name, p in (("truth", truth), ("start", benchmark_start(family))):
             out[f"{family}.{name}"] = {
                 "params": list(vars(p).values()),
                 "rmse": rmse(p, qs, FourierConfig())}
