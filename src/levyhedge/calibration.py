@@ -243,9 +243,10 @@ def _cumulant_grad(model: MmmModel, z, grad_g: Callable, beta_follows: bool):
 
     with g the base measure's ``exp_moment`` and C2 = g(2) - 2 g(1); its
     derivative along beta; and its derivatives along the jump parameters
-    whose derivatives of g ``grad_g(w)`` stacks on a leading axis.  Those
-    hold beta fixed, unless ``beta_follows``: then beta = g(1) / C2 moves
-    with them, as for variance gamma, whose mu_s is g(1)."""
+    whose derivatives of g ``grad_g(w, g_w)`` stacks on a leading axis,
+    given g(w) where it is at hand.  Those hold beta fixed, unless
+    ``beta_follows``: then beta = g(1) / C2 moves with them, as for
+    variance gamma, whose mu_s is g(1)."""
     w = 1j * np.asarray(z, dtype=complex)
     g = model.measure.exp_moment
     gw, gw1 = g(w, check=False), g(w + 1.0, check=False)
@@ -256,8 +257,8 @@ def _cumulant_grad(model: MmmModel, z, grad_g: Callable, beta_follows: bool):
     dg1, dg2 = grad_g(1.0), grad_g(2.0)
     dc2 = dg2 - 2.0 * dg1
     col = (slice(None),) + (None,) * w.ndim
-    d_jumps = (w * (beta * dc2 - dg1)[col] + (1.0 + beta) * grad_g(w)
-               - beta * grad_g(w + 1.0) + (beta * dg1)[col])
+    d_jumps = (w * (beta * dc2 - dg1)[col] + (1.0 + beta) * grad_g(w, gw)
+               - beta * grad_g(w + 1.0, gw1) + (beta * dg1)[col])
     if beta_follows:
         d_jumps += ((dg1 - beta * dc2) / c2)[col] * d_beta
     return psi, d_beta, d_jumps
@@ -298,7 +299,7 @@ def _merton_box(p: MertonParams) -> np.ndarray:
 def _merton_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
     nu = model.measure
 
-    def grad_g(w):
+    def grad_g(w, g_w=None):
         d_gamma, d_m, d_delta = nu.exp_moment_grad(w)
         return np.array([nu.gamma * d_gamma, d_m, nu.delta * d_delta])
 
@@ -319,8 +320,8 @@ def _vg_box(p: VgParams) -> np.ndarray:
 def _vg_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
     nu = model.measure
 
-    def grad_g(w):
-        d_c, d_g, d_m = nu.exp_moment_grad(w)      # G = M - D
+    def grad_g(w, g_w=None):
+        d_c, d_g, d_m = nu.exp_moment_grad(w, g_w)      # G = M - D
         return np.array([nu.c * d_c, d_g + d_m, -d_g])
 
     return _cumulant_grad(model, z, grad_g, beta_follows=True)[2]

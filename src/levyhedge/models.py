@@ -146,9 +146,10 @@ class MertonMeasure(LevyMeasure):
             return _complex(g * (_gauss_emoment(m, d, w) * up - p_pos))
         return _complex(g * (_gauss_emoment(m, d, w) * (1.0 - up) - (1.0 - p_pos)))
 
-    def exp_moment_grad(self, w) -> np.ndarray:
+    def exp_moment_grad(self, w, g_w=None) -> np.ndarray:
         """Derivatives of exp_moment(w) (region "all") along (gamma, m,
-        delta), stacked on a leading axis of 3."""
+        delta), stacked on a leading axis of 3.  ``g_w``, exp_moment(w)
+        if the caller has it, is not needed here."""
         w = _complex(w)
         e = _gauss_emoment(self.m, self.delta, w)
         return np.array([e - 1.0, self.gamma * w * e,
@@ -208,12 +209,15 @@ class VgMeasure(LevyMeasure):
             raise ValueError(f"unknown region {region!r}")
         return out
 
-    def exp_moment_grad(self, w) -> np.ndarray:
+    def exp_moment_grad(self, w, g_w=None) -> np.ndarray:
         """Derivatives of exp_moment(w) (region "all") along (C, G, M),
-        stacked on a leading axis of 3; no strip guard."""
+        stacked on a leading axis of 3; no strip guard.  The C column is
+        g(w)/C, read from ``g_w``, exp_moment(w), if the caller has it."""
         w = _complex(w)
         c, g, mb = self.c, self.g, self.m_big
-        return np.array([self.exp_moment(w, check=False) / c,
+        if g_w is None:
+            g_w = self.exp_moment(w, check=False)
+        return np.array([g_w / c,
                          c * (1.0 / g - 1.0 / (g + w)),
                          c * (1.0 / mb - 1.0 / (mb - w))])
 

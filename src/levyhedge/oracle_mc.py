@@ -15,15 +15,25 @@ with standard errors.  Sampling is exact for both shipped model families:
   exact four-gamma sum.
 
 Randomness comes from a counter-based Philox generator split into a fixed
-number of substreams, so estimates are reproducible bit for bit and do not
-depend on how the work is chunked.
+number of substreams, each filling its own slice of the sample.  The
+substreams, and the fixed-size path chunks of the I2 pass, run on a thread
+pool of one worker per usable CPU (numpy releases the GIL in bulk draws,
+``searchsorted`` and elementwise work); the pool starts on first use, and
+with one CPU the work runs serially.  Every task writes a disjoint slice
+and the means are taken once over whole arrays, so estimates are
+reproducible bit for bit and depend neither on the chunking nor on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import accumulate
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +55,29 @@ __all__ = [
 
 _GENERATOR = "numpy.random.Philox"
 _N_BATCHES = 64
+# paths per task of the I2 pass; fixed, so the split never follows the
+# worker count
+_CHUNK = 2**16
+
+
+# one worker per usable CPU (all CPUs where affinity is not exposed), and
+# no more than there are substreams
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, _N_BATCHES)
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _map(fn: Callable, *iterables) -> list:
+    """``list(map(fn, *iterables))`` on ``_WORKERS`` threads, from a pool
+    created on first use; with one worker, a plain serial ``map``."""
+    global _POOL
+    if _WORKERS == 1:
+        return list(map(fn, *iterables))
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="oracle_mc")
+    return list(_POOL.map(fn, *iterables))
 
 
 @dataclass(frozen=True)
@@ -106,20 +139,20 @@ def _batch_sizes(n: int) -> List[int]:
 def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
     """Exact sample of L_tau under the MMM; see the module docstring for the
     per-family schemes.  mean(e^L) = 1 within Monte Carlo error is the
-    built-in correctness gate."""
+    built-in correctness gate.
+
+    Each family's ``draw(rng, nb, start)`` fills ``out[start:start + nb]``
+    from one substream."""
     tau = cfg.horizon
-    rngs = _substreams(cfg.seed)
-    sizes = _batch_sizes(cfg.n_paths)
     measure = model.measure
     out = np.empty(cfg.n_paths)
-    pos = 0
 
     if isinstance(measure, ZeroMeasure):
         method = "brownian"
-        for rng, nb in zip(rngs, sizes):
+
+        def draw(rng, nb, start):
             z = rng.standard_normal(nb)
-            out[pos:pos + nb] = model.drift_star * tau + model.sigma * math.sqrt(tau) * z
-            pos += nb
+            out[start:start + nb] = model.drift_star * tau + model.sigma * math.sqrt(tau) * z
     elif isinstance(measure, MertonMeasure):
         method = "exact-tilted-compound-poisson"
         g, m, d = measure.gamma, measure.m, measure.delta
@@ -130,7 +163,8 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
         g_star = w1 + w2
         p2 = w2 / g_star
         drift = (model.drift_star - model.m1_star) * tau
-        for rng, nb in zip(rngs, sizes):
+
+        def draw(rng, nb, start):
             z = rng.standard_normal(nb)
             counts = rng.poisson(g_star * tau, nb)
             total = int(counts.sum())
@@ -140,8 +174,7 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
                 sizes_j = m + shift + d * rng.standard_normal(total)
                 jumps = np.bincount(np.repeat(np.arange(nb), counts),
                                     weights=sizes_j, minlength=nb)
-            out[pos:pos + nb] = (drift + model.sigma * math.sqrt(tau) * z + jumps)
-            pos += nb
+            out[start:start + nb] = (drift + model.sigma * math.sqrt(tau) * z + jumps)
     elif isinstance(measure, VgMeasure):
         method = "exact-tilted-gamma-difference"
         c, g_, mb = measure.c, measure.g, measure.m_big
@@ -151,7 +184,8 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
         drift = (model.drift_star - model.m1_star) * tau
         if model.sigma != 0.0:
             raise NotImplementedError("VG sampling assumes a pure-jump model")
-        for rng, nb in zip(rngs, sizes):
+
+        def draw(rng, nb, start):
             j = np.zeros(nb)
             if c1 > 0:
                 j += rng.standard_gamma(c1 * tau, nb) / mb
@@ -159,11 +193,12 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
             if c2 > 0:
                 j += rng.standard_gamma(c2 * tau, nb) / (mb - 1.0)
                 j -= rng.standard_gamma(c2 * tau, nb) / (g_ + 1.0)
-            out[pos:pos + nb] = drift + j
-            pos += nb
+            out[start:start + nb] = drift + j
     else:
         raise NotImplementedError(
             f"no exact MMM sampler for measure type {type(measure).__name__}")
+    sizes = _batch_sizes(cfg.n_paths)
+    _map(draw, _substreams(cfg.seed), sizes, [0, *accumulate(sizes[:-1])])
     return McSample(log_returns=out, horizon=tau, seed=cfg.seed, method=method)
 
 
@@ -229,7 +264,9 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
 
     Y_i makes the standard error exact in the path dimension; the
     x-quadrature error is estimated by dropping to every other node (the
-    half rule, with its own suffix sums) and reported separately.
+    half rule, with its own suffix sums) and reported separately.  The
+    per-path pass fills both Y arrays in chunks of ``_CHUNK`` paths on the
+    worker pool; the means are then taken over the whole arrays.
     """
     measure = model.measure
     if measure.is_zero:
@@ -242,20 +279,22 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
     order = np.argsort(xs)
     xs, coef, coef_h = xs[order], coef[order], coef_h[order]
     ex = np.exp(xs)
+    sums = [(_suffix_sums(c * ex), _suffix_sums(c)) for c in (coef, coef_h)]
     L = sample.log_returns
-    k = np.searchsorted(xs, math.log(chi) - L, side="right")
-    s = np.exp(L)
-    itm = np.maximum(s - chi, 0.0)
+    log_chi = math.log(chi)
+    y_full, y_half = np.empty(L.size), np.empty(L.size)
 
-    def aggregate(c: np.ndarray) -> np.ndarray:
-        a, b = _suffix_sums(c * ex), _suffix_sums(c)
-        y = s * a[k]
-        y -= chi * b[k]
-        y -= b[0] * itm
-        return y
+    def aggregate(start: int) -> None:
+        part = slice(start, start + _CHUNK)
+        k = np.searchsorted(xs, log_chi - L[part], side="right")
+        s = np.exp(L[part])
+        itm = np.maximum(s - chi, 0.0)
+        for y, (a, b) in zip((y_full[part], y_half[part]), sums):
+            np.multiply(s, a[k], out=y)
+            y -= chi * b[k]
+            y -= b[0] * itm
 
-    y_full = aggregate(coef)
-    y_half = aggregate(coef_h)
+    _map(aggregate, range(0, L.size, _CHUNK))
     est = _mean_se(y_full)
     x_err = abs(float(y_full.mean() - y_half.mean()))
     return McI2Estimate(est.value, est.se, x_err)

@@ -4,10 +4,17 @@ module reaches the adaptive-quadrature oracle ``fourier.transform``, the
 oracle does not reach the batch engine it checks, and the condition
 integral stays on fixed nodes; scipy.integrate serves only the oracle,
 scipy.optimize only the body of ``calibrate``, and the quadrature oracle
-of the Levy-measure moments names none of the closed forms it checks."""
+of the Levy-measure moments names none of the closed forms it checks.
+Threads serve only the Monte Carlo oracle: importing the CLI, ``sweep``
+and ``calibrate`` start none, and only ``oracle_mc`` imports a thread
+API."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -263,3 +270,106 @@ def test_closed_form_reference_check_detects_each_form():
     assert _closed_form_references(src) == [
         ("oracle", "mmm_cumulant", 3), ("moment", "exp_moment", 5),
         ("moment", "exp_moment_star", 6), ("moment", "x_exp_moment", 6)]
+
+
+# the modules that start threads; within src/ only the Monte Carlo oracle
+# may use them, since the engine stays single-threaded: the thread pool
+# that sweep once had cost more than it returned
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def _thread_imports(source: str):
+    """Lines of ``source`` that import a module of ``THREAD_MODULES`` or a
+    name from one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        if any(m and any(m == t or m.startswith(t + ".") for t in THREAD_MODULES)
+               for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_threads_are_imported_by_the_monte_carlo_oracle_only():
+    found = [name for name in MODULES + ["__init__"]
+             if _thread_imports((SRC / f"{name}.py").read_text(encoding="utf-8"))]
+    assert found == ["oracle_mc"]
+
+
+def test_thread_import_check_detects_each_form():
+    src = ("import threading\n"
+           "from concurrent.futures import ThreadPoolExecutor\n"
+           "import concurrent.futures as cf\n"
+           "from concurrent import futures\n"
+           "import threadingx\n"
+           "def f():\n"
+           "    from threading import Lock\n")
+    assert _thread_imports(src) == [1, 2, 3, 4, 7]
+
+
+_THREAD_PROBE = """
+import json, sys, threading
+base = threading.active_count()
+from levyhedge import cli, oracle_mc
+
+def started(rc):
+    return [rc, threading.active_count() - base]
+
+ini, quotes, cal_ini, tmp = sys.argv[1:]
+seen = {"import": threading.active_count() - base}
+seen["sweep"] = started(cli.main(["sweep", "--config", ini, "--out", tmp + "/sweep.csv"]))
+seen["calibrate"] = started(cli.main(["calibrate", "--config", cal_ini, "--quotes",
+                                      quotes, "--family", "vg"]))
+seen["verify"] = started(cli.main(["verify", "--config", ini, "--paths", "20000"]))
+seen["workers"] = oracle_mc._WORKERS
+print(json.dumps(seen))
+"""
+
+PROBE_INI = """
+[model]
+family = vg
+c_par = 6.7910
+g_par = 30.1807
+m_par = 33.1507
+spot = 2102.4
+
+[horizon]
+maturity = 1.0
+valuation_time = 0.95
+
+[strikes]
+chis = 0.95 1.0 1.05
+"""
+
+
+def test_only_monte_carlo_starts_threads(tmp_path):
+    # a fresh interpreter, since an earlier test may have started the
+    # Monte Carlo pool here; sweep and calibrate must start no thread, so
+    # that their set-up and throughput cannot move with one, and verify,
+    # which does start the pool on a host of several CPUs, shows that the
+    # probe sees threads
+    ini = tmp_path / "vg.ini"
+    ini.write_text(PROBE_INI)
+    cal_ini = tmp_path / "cal.ini"
+    cal_ini.write_text("[calibration]\ninit_c_par = 7.1\n"
+                       "init_g_par = 29.0\ninit_m_par = 34.5\n")
+    quotes = Path(__file__).parent / "golden" / "quotes_vg.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, str(ini), str(quotes), str(cal_ini),
+         str(tmp_path)], capture_output=True, text=True, timeout=300, env=env,
+        check=True)
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen["import"] == 0
+    assert seen["sweep"] == [0, 0]
+    assert seen["calibrate"] == [0, 0]
+    assert seen["verify"][0] == 0
+    assert (seen["verify"][1] > 0) == (seen["workers"] > 1)

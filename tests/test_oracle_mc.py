@@ -1,11 +1,12 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levyhedge import LevyModel, ZeroMeasure, call_price, to_mmm, transform
+from levyhedge import LevyModel, ZeroMeasure, call_price, oracle_mc, to_mmm, transform
 from levyhedge.benchmarks import HORIZON
 from levyhedge.oracle_mc import (
     McConfig,
@@ -145,6 +146,33 @@ def test_i2_suffix_sums_match_dense_estimator(family, request):
         ref = _i2_dense(model, smp, chi)
         for got, want in zip((est.value, est.se, est.x_quad_err), ref):
             assert abs(got - want) <= 1e-15 + 1e-12 * abs(want), (chi, got, want)
+
+
+@pytest.mark.parametrize("family", ["bs_mmm", "merton_mmm", "vg_mmm"])
+def test_one_worker_matches_the_pool(family, request, monkeypatch):
+    # a path count that is a multiple of neither the substream count nor
+    # the I2 chunk, so the last substream and the last chunk are ragged;
+    # the pool gets 3 workers whatever the CPU count of the host
+    model = request.getfixturevalue(family)
+    mcfg = McConfig(n_paths=100_003, seed=29, horizon=HORIZON)
+    assert mcfg.n_paths % oracle_mc._N_BATCHES and mcfg.n_paths % oracle_mc._CHUNK
+    chis = (0.9037, 1.0, 1.1891)
+
+    def run(workers):
+        monkeypatch.setattr(oracle_mc, "_WORKERS", workers)
+        monkeypatch.setattr(oracle_mc, "_POOL", None)
+        sample = simulate_log_returns(model, mcfg)
+        return sample.log_returns, [i2_from_sample(model, sample, c) for c in chis]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # interleave the workers as much as possible
+    try:
+        pooled = run(3)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run(1)
+    assert np.array_equal(serial[0], pooled[0])
+    assert serial[1] == pooled[1]
 
 
 def test_i2_memory_is_linear_in_paths(vg_mmm):
