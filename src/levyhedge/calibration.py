@@ -17,9 +17,10 @@ admissible set 0 >= mu_s > -(sigma^2 + C2):
 The open edges keep a margin of 1e-6.  The Jacobian is analytic: with
 w = iz, Psi*(z) = w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
 - beta (g(w + 1) - g(w) - g(1)), g the base measure's ``exp_moment``, so
-dPsi*/dtheta is closed form (beta = g(1) / C2 for variance gamma), and the
-price derivatives are the engine's own contraction with phi replaced by
-tau dPsi*/dtheta phi.  The fit runs from three starts: the caller's,
+dPsi*/dtheta is closed form (beta = g(1) / C2 for variance gamma), reuses
+the g(w) and g(w + 1) that Psi* evaluated, and the price derivatives come
+from the prices' own integrand times tau dPsi*/dtheta, in the same pass
+(``call_prices``).  The fit runs from three starts: the caller's,
 clamped into the box, and that point with f (or D) at 1/4 and at 3/4 of
 its range, because the variance-gamma RMSE has a second minimum along D.
 """
@@ -188,7 +189,7 @@ def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig,
     args = (model, qs.spot, list(by_expiry), strikes, cfg, cache)
     if dpsi is None:
         return in_quote_order(call_prices(*args))
-    prices, jacobians = call_prices(*args, dpsi=lambda z: dpsi(model, z))
+    prices, jacobians = call_prices(*args, dpsi=lambda *za: dpsi(model, *za))
     return in_quote_order(prices), in_quote_order(jacobians)
 
 
@@ -235,21 +236,21 @@ _EDGE = 1e-6
 _EXACT = 1e-12
 
 
-def _cumulant_grad(model: MmmModel, z, grad_g: Callable, beta_follows: bool):
+def _cumulant_grad(model: MmmModel, z, moments, grad_g: Callable,
+                   beta_follows: bool):
     """Psi*(z) in the compact form
 
         w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
             - beta (g(w + 1) - g(w) - g(1)),   w = iz,
 
-    with g the base measure's ``exp_moment`` and C2 = g(2) - 2 g(1); its
-    derivative along beta; and its derivatives along the jump parameters
-    whose derivatives of g ``grad_g(w, g_w)`` stacks on a leading axis,
-    given g(w) where it is at hand.  Those hold beta fixed, unless
-    ``beta_follows``: then beta = g(1) / C2 moves with them, as for
-    variance gamma, whose mu_s is g(1)."""
+    with g the base measure's ``exp_moment``, ``moments`` = (g(w), g(w + 1))
+    from ``mmm_cumulant``, and C2 = g(2) - 2 g(1); its derivative along
+    beta; and its derivatives along the jump parameters whose derivatives
+    of g ``grad_g(w, g_w)`` stacks on a leading axis, given g(w) where it
+    is at hand.  Those hold beta fixed, unless ``beta_follows``: then beta
+    = g(1) / C2 moves with them, as for variance gamma, whose mu_s is g(1)."""
     w = 1j * np.asarray(z, dtype=complex)
-    g = model.measure.exp_moment
-    gw, gw1 = g(w, check=False), g(w + 1.0, check=False)
+    gw, gw1 = moments
     g1, c2, beta, s2 = complex(model.exp_moment_1), model.c2, model.beta, model.sigma**2
     psi = (w * (beta * c2 - 0.5 * s2 - g1) + 0.5 * s2 * w * w
            + (1.0 + beta) * gw - beta * gw1 + beta * g1)
@@ -273,15 +274,15 @@ class _Family:
     * variance gamma: (log C, M, D), D = M - G in [1, 3) and M > 4.
 
     ``tilt`` indexes f or D, the coordinate along which the extra starts
-    are placed; ``dpsi(model, z)`` stacks the derivatives of Psi* along the
-    box coordinates."""
+    are placed; ``dpsi(model, z, moments)`` stacks the derivatives of Psi*
+    along the box coordinates, given ``_cumulant_grad``'s base moments."""
 
     lower: np.ndarray
     upper: np.ndarray
     tilt: int
     to_params: Callable[[np.ndarray], Params]
     to_box: Callable[[Params], np.ndarray]
-    dpsi: Callable[[MmmModel, np.ndarray], np.ndarray]
+    dpsi: Callable[[MmmModel, np.ndarray, Tuple], np.ndarray]
 
 
 def _merton_params(x: np.ndarray) -> MertonParams:
@@ -296,14 +297,14 @@ def _merton_box(p: MertonParams) -> np.ndarray:
                      math.log(p.delta), rep.mu_s / rep.lower])
 
 
-def _merton_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
+def _merton_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
     nu = model.measure
 
     def grad_g(w, g_w=None):
         d_gamma, d_m, d_delta = nu.exp_moment_grad(w)
         return np.array([nu.gamma * d_gamma, d_m, nu.delta * d_delta])
 
-    _, d_beta, d_jumps = _cumulant_grad(model, z, grad_g, beta_follows=False)
+    _, d_beta, d_jumps = _cumulant_grad(model, z, moments, grad_g, False)
     w = 1j * z
     return np.concatenate([[model.sigma**2 * (w * w - w)], d_jumps, [-d_beta]])
 
@@ -317,14 +318,14 @@ def _vg_box(p: VgParams) -> np.ndarray:
     return np.array([math.log(p.c_par), p.m_par, p.m_par - p.g_par])
 
 
-def _vg_dpsi(model: MmmModel, z: np.ndarray) -> np.ndarray:
+def _vg_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
     nu = model.measure
 
     def grad_g(w, g_w=None):
         d_c, d_g, d_m = nu.exp_moment_grad(w, g_w)      # G = M - D
         return np.array([nu.c * d_c, d_g + d_m, -d_g])
 
-    return _cumulant_grad(model, z, grad_g, beta_follows=True)[2]
+    return _cumulant_grad(model, z, moments, grad_g, beta_follows=True)[2]
 
 
 _FAMILIES = {

@@ -209,6 +209,8 @@ def cmd_sweep(rc: RunConfig, out_path: Optional[str]) -> int:
     else:
         sys.stdout.write(text)
     bad = [p for p in points if not p.ok]
+    for p in [p for p in bad if p.error]:
+        print(f"sweep: chi={p.chi!r}: {p.error}", file=sys.stderr)
     if bad:
         print(f"sweep: {len(bad)} point(s) failed invariants", file=sys.stderr)
         return EXIT_FAIL

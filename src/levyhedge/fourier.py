@@ -601,22 +601,25 @@ class _Nodes:
 
     def integrate(self, kind: str, samples, k: np.ndarray, carrier: float,
                   model: Optional[MmmModel], phases=None,
-                  n_head: Optional[int] = None):
-        """Re of integral_0^inf e^{-ivk} psi(v) dv per log-moneyness k, and
-        the sum of the per-panel error estimates (zero without the nested
-        rule).
+                  n_head: Optional[int] = None, factors=None):
+        """Re of integral_0^inf e^{-ivk} psi(v) dv per log-moneyness k, the
+        sum of the per-panel error estimates (zero without the nested rule)
+        and the contraction of ``factors`` (None without them).
 
         Strikes with k >= carrier take the downward contour, the others the
         upward one.  ``phases`` caches e^{-ivk} on every node across calls
         with the same k; ``n_head`` keeps only the first head panels
-        (``samples[0]`` holds just theirs).  Samples with a leading axis of
-        q functions (without the nested rule) give a (q, strikes) value.
+        (``samples[0]`` holds just theirs).  ``factors``, per path a (q,
+        panels, m) array shaped like its samples, gives the (q, strikes)
+        integrals of psi times each factor: one matmul per path of the
+        factors times the weighted integrand that the value contracts.
         """
         down = k >= carrier
-        lead = samples[0].shape[:-2]
-        value = np.zeros(lead + (k.size,))
+        value = np.zeros(k.size)
         err = np.zeros(k.size)
-        for (name, v, w, d, rot), phi_v in zip(self.paths, samples):
+        columns = None if factors is None else np.zeros((len(factors[0]),
+                                                         k.size))
+        for i, (name, v, w, d, rot) in enumerate(self.paths):
             sel = (slice(None) if name == "head"
                    else down if name == "down" else ~down)
             kk = k[sel]
@@ -631,21 +634,20 @@ class _Nodes:
             if name == "head" and n_head is not None:
                 v, w, ph = v[:n_head], w[:n_head], ph[:, :n_head]
                 d = None if d is None else d[:n_head]
-            f = _kind_psi(kind, self.alpha, 1j * v, phi_v, model,
+            f = _kind_psi(kind, self.alpha, 1j * v, samples[i], model,
                           check=name == "head")
             wf = w * f
-            if lead:
-                value[:, sel] += (rot * (wf.reshape(wf.shape[0], -1)
-                                         @ ph.reshape(kk.size, -1).T)).real
-            else:
-                value[sel] += (rot * np.einsum("spm,pm->s", ph, wf)).real
+            value[sel] += (rot * np.einsum("spm,pm->s", ph, wf)).real
+            if factors is not None:
+                fw = (factors[i] * wf).reshape(columns.shape[0], -1)
+                columns[:, sel] += (rot * (fw @ ph.reshape(kk.size, -1).T)).real
             if d is not None:
                 # |e^{-ivk}| = 1 on the head
                 mag = (np.abs(wf).sum() if name == "head" else
                        np.einsum("spm,pm->s", np.abs(ph), np.abs(wf)))
                 err[sel] += (np.abs(np.einsum("spm,pm->sp", ph, d * f)).sum(axis=1)
                              + _ROUNDING * mag)
-        return value, err
+        return value, err, columns
 
 
 def _node_range(phi: CharFn, alpha: float) -> Tuple[float, Optional[float]]:
@@ -737,8 +739,8 @@ def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
         samples = nodes.sample(phi)
         phases: Dict[str, np.ndarray] = {}
         for kind, flags in group:
-            value, err = nodes.integrate(kind, samples, k, phi.carrier,
-                                         model, phases)
+            value, err, _ = nodes.integrate(kind, samples, k, phi.carrier,
+                                            model, phases)
             tail, tail_err = _tails(kind, phi, model, a, k, s_end)
             pre = [_prefactor(kind, a, x) for x in k]
             out[kind] = tuple(
@@ -772,13 +774,15 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     e^{-ivk} while they stay valid.  A price that is not finite, or leaves
     [0, inf) by more than the clamp tolerance, raises AccuracyError.
 
-    With ``dpsi``, a map from an array of z to the derivatives of Psi along
-    n parameters (an (n, *z.shape) array), the result is the pair (prices,
-    jacobians), ``jacobians[j]`` the (strikes, n) derivatives of the prices
-    at ``expiries[j]``: the same contraction with phi replaced by tau * dPsi
-    * phi, beside the prices' own, which stay bit-identical.  The closed-form
-    asymptote past the last contour node, which only strikes next to the
-    carrier take (``_tails``), is left out of the derivatives.
+    With ``dpsi``, a map from z and the base moments (g(w), g(w + 1)) at
+    w = iz that ``mmm_cumulant`` computed for Psi to the derivatives of Psi
+    along n parameters (an (n, *z.shape) array), the result is the pair
+    (prices, jacobians), ``jacobians[j]`` the (strikes, n) derivatives of
+    the prices at ``expiries[j]``: tau times the price integrand, times
+    dPsi, contracted with the same e^{-ivk} in one matmul per path beside
+    the prices, which stay bit-identical.  The closed-form asymptote past
+    the last contour node, which only strikes next to the carrier take
+    (``_tails``), is left out of the derivatives.
     """
     phis = [_char_fn(model, tau) for tau in expiries]
     _check_martingale(model, max(expiries))
@@ -800,18 +804,21 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
                                 max(float(np.abs(x).max()) for x in logs),
                                 errors=False)
     nodes = cache["nodes"]
-    psi = [mmm_cumulant(model, v - 1j * a, check_strip=name == "head")
-           for name, v, _, _, _ in nodes.paths]
-    grads = None if dpsi is None else [dpsi(v - 1j * a)
-                                       for _, v, _, _, _ in nodes.paths]
+    zs = [v - 1j * a for _, v, _, _, _ in nodes.paths]
+    sampled = [mmm_cumulant(model, z, check_strip=path[0] == "head",
+                            moments=True) for path, z in zip(nodes.paths, zs)]
+    psi = [p[0] for p in sampled]
+    grads = None if dpsi is None else [dpsi(z, p[1:])
+                                       for z, p in zip(zs, sampled)]
     out, jacobians = [], []
     for j, (phi, (v_end, _), k) in enumerate(zip(phis, ranges, logs)):
         n = nodes.head_panels(v_end)
         samples = [np.exp(phi.horizon * psi[0][:n])] \
             + [np.exp(phi.horizon * p) for p in psi[1:]]
         phases = cache.setdefault(j, {})
-        value, _ = nodes.integrate("price", samples, k, phi.carrier, None,
-                                   phases, n_head=n)
+        value, _, columns = nodes.integrate(
+            "price", samples, k, phi.carrier, None, phases, n_head=n,
+            factors=None if grads is None else [grads[0][:, :n]] + grads[1:])
         tail, _ = _tails("price", phi, None, a, k, nodes.s_end)
         pre = np.array([_prefactor("price", a, x) for x in k])
         prices = pre * (value + tail)
@@ -821,12 +828,8 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
                                     f"{phi.horizon} and chi={math.exp(k[i])}")
             prices[i] = _clamped("price", p, 0.0, [])
         out.append(spot * prices)
-        if grads is not None:
-            heads = [grads[0][:, :n]] + grads[1:]
-            columns, _ = nodes.integrate(
-                "price", [phi.horizon * d * f for d, f in zip(heads, samples)],
-                k, phi.carrier, None, phases, n_head=n)
-            jacobians.append(spot * (pre * columns).T)
+        if columns is not None:
+            jacobians.append(spot * phi.horizon * (pre * columns).T)
     return out if dpsi is None else (out, jacobians)
 
 

@@ -58,6 +58,7 @@ class StrategyPoint:
     bound_t4: Optional[float]
     err_est: float
     flags: Tuple[str, ...] = ()
+    error: str = ""     # "<Type>: <message>" of a point that raised
 
     @property
     def ok(self) -> bool:
@@ -161,5 +162,6 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
                 chi=chi, i1=math.nan, i2=math.nan, lrm=math.nan,
                 delta=math.nan, diff=math.nan, bound_t3=math.nan,
                 bound_t4=None, err_est=math.inf,
-                flags=("error:" + type(exc).__name__, "point-violation")))
+                flags=("error:" + type(exc).__name__, "point-violation"),
+                error=f"{type(exc).__name__}: {exc}"))
     return points

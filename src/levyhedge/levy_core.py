@@ -248,13 +248,15 @@ class MmmModel:
         """Jump tilt theta_x = beta * (e^x - 1); < 1 on the support of nu."""
         return self.beta * (np.exp(x) - 1.0)
 
-    def exp_moment_star(self, w, check: bool = True):
+    def exp_moment_star(self, w, check: bool = True, moments: bool = False):
         """Integral of (e^{wx} - 1) nu*(dx), assembled from base-measure
         moments g as g(w) - beta (g(w + 1) - g(w) - g(1)): two evaluations
-        of g per call, since g(1) is the model's ``exp_moment_1``."""
+        of g per call, since g(1) is the model's ``exp_moment_1``.  With
+        ``moments``, the triple (integral, g(w), g(w + 1))."""
         g = self.measure.exp_moment
-        gw = g(w, check=check)
-        return gw - self.beta * (g(w + 1.0, check=check) - gw - self.exp_moment_1)
+        gw, gw1 = g(w, check=check), g(w + 1.0, check=check)
+        star = gw - self.beta * (gw1 - gw - self.exp_moment_1)
+        return (star, gw, gw1) if moments else star
 
     def strip(self) -> Tuple[float, float]:
         """Open interval of valid Im(z) for the MMM cumulant."""
@@ -333,14 +335,16 @@ def to_mmm(model: LevyModel) -> MmmModel:
                     m1_star=m1_star, exp_moment_1=g1)
 
 
-def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
+def mmm_cumulant(model: MmmModel, z, check_strip: bool = True,
+                 moments: bool = False):
     """MMM cumulant exponent Psi*(z), so phi_tau(z) = exp(tau * Psi*(z)).
 
     Psi*(z) = i z b* - sigma^2 z^2 / 2 + integral of
     (e^{izx} - 1 - izx) nu*(dx).  The jump integral is assembled from the
     base measure's closed-form exponential moments.  Accepts scalar or
     array ``z``; ``check_strip=False`` evaluates their analytic
-    continuation (used internally for contour tails).
+    continuation (used internally for contour tails).  ``moments`` returns
+    (Psi*(z), g(w), g(w + 1)), the base moments at w = iz for reuse.
     """
     z = _complex(z)
     if check_strip and not model.measure.is_zero:
@@ -349,5 +353,7 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True):
             raise StripError(
                 f"Im(z)={z.imag} outside the cumulant strip ({lo}, {hi})")
     iz = 1j * z
-    jump = model.exp_moment_star(iz, check=check_strip) - iz * model.m1_star
-    return iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
+    star = model.exp_moment_star(iz, check=check_strip, moments=True)
+    jump = star[0] - iz * model.m1_star
+    psi = iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
+    return (psi,) + star[1:] if moments else psi

@@ -300,6 +300,51 @@ def test_jacobian_matches_central_differences(family, scale, cfg):
         assert np.linalg.norm(jac[:, q] - fd) <= 1e-6 * np.linalg.norm(jac[:, q]), q
 
 
+@pytest.mark.parametrize("family", ["merton", "vg"])
+@pytest.mark.parametrize("scale", [0.0, 0.05])
+def test_prices_beside_the_jacobian_are_bit_identical(family, scale, cfg):
+    # the Jacobian rides along without moving a bit of the prices, and the
+    # cumulant sampled with its base moments is the plain cumulant, on the
+    # head and on both contours
+    qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
+    init = benchmark_start(family, scale)
+    cache: dict = {}
+    prices = _prices_for(init, qs, cfg, cache)
+    with_jac, _ = _prices_for(init, qs, cfg, cache, _FAMILIES[type(init)].dpsi)
+    assert np.array_equal(with_jac, prices)
+    model = to_mmm(build_model(init))
+    paths = cache["nodes"].paths
+    assert len(paths) == (1 if family == "merton" else 3)
+    for name, v, _, _, _ in paths:
+        z = v - 1j * cfg.alpha
+        psi, _, _ = mmm_cumulant(model, z, name == "head", moments=True)
+        assert np.array_equal(psi, mmm_cumulant(model, z, name == "head"))
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_jacobian_reuses_the_base_moments_of_the_prices(family, cfg,
+                                                        monkeypatch):
+    # Psi* evaluates g(w) and g(w + 1) on each node path, and the Jacobian
+    # takes them from there: two array evaluations of g per path
+    qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
+    init = benchmark_start(family, 0.05)
+    dpsi = _FAMILIES[type(init)].dpsi
+    cache: dict = {}
+    _prices_for(init, qs, cfg, cache, dpsi)
+    measure = type(build_model(init).measure)
+    exp_moment = measure.exp_moment
+    calls = []
+
+    def counted(self, w, *args, **kwargs):
+        if np.ndim(w):
+            calls.append(np.shape(w))
+        return exp_moment(self, w, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "exp_moment", counted)
+    _prices_for(init, qs, cfg, cache, dpsi)
+    assert len(calls) == 2 * len(cache["nodes"].paths)
+
+
 @pytest.mark.parametrize("params", [merton_benchmark(), vg_benchmark()],
                          ids=["merton", "vg"])
 def test_compact_cumulant_matches_mmm_cumulant(params, cfg):
@@ -314,8 +359,8 @@ def test_compact_cumulant_matches_mmm_cumulant(params, cfg):
         v = np.concatenate([v, 409.6 - 1j * s, 409.6 + 1j * s])
     z = v - 1j * cfg.alpha
     grad = model.measure.exp_moment_grad
-    psi = _cumulant_grad(model, z, grad, beta_follows=False)[0]
-    ref = mmm_cumulant(model, z, check_strip=False)
+    ref, *moments = mmm_cumulant(model, z, check_strip=False, moments=True)
+    psi = _cumulant_grad(model, z, moments, grad, beta_follows=False)[0]
     assert np.max(np.abs(psi - ref) / np.abs(ref)) <= 1e-14
 
 

@@ -190,6 +190,26 @@ def test_sweep_vg_has_bound_t4(tmp_path):
             assert "t4-violation" not in flags
 
 
+def test_sweep_reports_the_message_of_a_failed_point(merton_ini, tmp_path,
+                                                     monkeypatch, capsys):
+    # the CSV keeps the exception type as a flag; stderr gets its message
+    from levyhedge import hedging
+    point = hedging.strategy_point
+
+    def failing(model, phi, chi, *args, **kwargs):
+        if chi == 2000.0 / 2102.4:
+            raise ValueError("no hedge here")
+        return point(model, phi, chi, *args, **kwargs)
+
+    monkeypatch.setattr(hedging, "strategy_point", failing)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(merton_ini), "--out", str(out)]) == EXIT_FAIL
+    flags = [line.split(",")[8] for line in out.read_text().splitlines()[2:]]
+    assert flags.count("error:ValueError;point-violation") == 1
+    err = capsys.readouterr().err
+    assert f"sweep: chi={2000.0 / 2102.4!r}: ValueError: no hedge here" in err
+
+
 def test_sweep_fft_flag_removed(merton_ini):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(merton_ini), "--fft"])

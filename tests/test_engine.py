@@ -67,6 +67,22 @@ def test_engine_at_the_carrier_of_a_heavy_short_horizon_vg(tau):
         assert abs(r.value - ref.value) <= r.err_est + ref.err_est, kind
 
 
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_engine_matches_transform_at_far_strikes(family, request, cfg):
+    # four decades either side of the money, where e^{-ivk} turns fastest
+    # and the head panels narrow in proportion: each kind agrees with the
+    # oracle within the two error estimates
+    mmm = request.getfixturevalue(f"{family}_mmm")
+    phi = char_fn(mmm, 0.05)
+    chis = [1e-4, 1e4]
+    res = _batch(phi, chis, mmm)
+    for kind in KINDS:
+        for chi, r in zip(chis, res[kind]):
+            ref = transform(kind, phi, chi, cfg, model=mmm)
+            assert abs(r.value - ref.value) <= r.err_est + ref.err_est, \
+                f"{kind} chi={chi:g}"
+
+
 def _i2_from_prices(mmm, phi, chi, cfg):
     """I2(chi) = int (V(e^x) - V(1)) (e^x - 1) nu(dx), V(s) = s price(chi/s),
     on the Gauss-Legendre x-panels of the Monte Carlo I2 estimator, with an

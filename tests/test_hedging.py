@@ -158,6 +158,8 @@ def test_non_finite_transform_is_a_flagged_error(pure_jump_merton, cfg):
             transform(kind, phi, 1.0, cfg, model=mmm)
     (point,) = sweep(mmm, phi, [1.0], cfg)
     assert point.flags == ("error:AccuracyError", "point-violation")
+    assert point.error.startswith("AccuracyError: ")
+    assert "not finite" in point.error
     assert not point.ok
 
 
