@@ -238,22 +238,21 @@ _EXACT = 1e-12
 
 def _cumulant_grad(model: MmmModel, z, moments, grad_g: Callable,
                    beta_follows: bool):
-    """Psi*(z) in the compact form
+    """The derivatives of Psi*(z) in the compact form
 
         w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
             - beta (g(w + 1) - g(w) - g(1)),   w = iz,
 
     with g the base measure's ``exp_moment``, ``moments`` = (g(w), g(w + 1))
-    from ``mmm_cumulant``, and C2 = g(2) - 2 g(1); its derivative along
-    beta; and its derivatives along the jump parameters whose derivatives
-    of g ``grad_g(w, g_w)`` stacks on a leading axis, given g(w) where it
-    is at hand.  Those hold beta fixed, unless ``beta_follows``: then beta
-    = g(1) / C2 moves with them, as for variance gamma, whose mu_s is g(1)."""
+    from ``mmm_cumulant``, and C2 = g(2) - 2 g(1): (d_beta, d_jumps), the
+    derivative along beta and those along the jump parameters whose
+    derivatives of g ``grad_g(w, g_w)`` stacks on a leading axis, given
+    g(w) where it is at hand.  Those hold beta fixed, unless
+    ``beta_follows``: then beta = g(1) / C2 moves with them, as for variance
+    gamma, whose mu_s is g(1)."""
     w = 1j * np.asarray(z, dtype=complex)
     gw, gw1 = moments
-    g1, c2, beta, s2 = complex(model.exp_moment_1), model.c2, model.beta, model.sigma**2
-    psi = (w * (beta * c2 - 0.5 * s2 - g1) + 0.5 * s2 * w * w
-           + (1.0 + beta) * gw - beta * gw1 + beta * g1)
+    g1, c2, beta = complex(model.exp_moment_1), model.c2, model.beta
     d_beta = w * c2 + gw - gw1 + g1
     dg1, dg2 = grad_g(1.0), grad_g(2.0)
     dc2 = dg2 - 2.0 * dg1
@@ -262,7 +261,7 @@ def _cumulant_grad(model: MmmModel, z, moments, grad_g: Callable,
                - beta * grad_g(w + 1.0, gw1) + (beta * dg1)[col])
     if beta_follows:
         d_jumps += ((dg1 - beta * dc2) / c2)[col] * d_beta
-    return psi, d_beta, d_jumps
+    return d_beta, d_jumps
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def _merton_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
         d_gamma, d_m, d_delta = nu.exp_moment_grad(w)
         return np.array([nu.gamma * d_gamma, d_m, nu.delta * d_delta])
 
-    _, d_beta, d_jumps = _cumulant_grad(model, z, moments, grad_g, False)
+    d_beta, d_jumps = _cumulant_grad(model, z, moments, grad_g, False)
     w = 1j * z
     return np.concatenate([[model.sigma**2 * (w * w - w)], d_jumps, [-d_beta]])
 
@@ -325,7 +324,7 @@ def _vg_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
         d_c, d_g, d_m = nu.exp_moment_grad(w, g_w)      # G = M - D
         return np.array([nu.c * d_c, d_g + d_m, -d_g])
 
-    return _cumulant_grad(model, z, moments, grad_g, beta_follows=True)[2]
+    return _cumulant_grad(model, z, moments, grad_g, beta_follows=True)[1]
 
 
 _FAMILIES = {

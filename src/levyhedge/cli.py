@@ -131,6 +131,16 @@ def _parse_chis(cp: configparser.ConfigParser, spot: float) -> Tuple[float, ...]
     return chis
 
 
+def _read_fourier(cp: configparser.ConfigParser) -> FourierConfig:
+    """The [fourier] section, whose only key is alpha."""
+    fsec = cp["fourier"] if cp.has_section("fourier") else {}
+    for key in fsec:
+        if key != "alpha":
+            raise ConfigError(f"[fourier] {key}: unknown key; the only "
+                              "[fourier] key is alpha")
+    return FourierConfig(alpha=float(fsec.get("alpha", 1.75)))
+
+
 def load_run_config(path, seed_override: Optional[int] = None,
                     paths_override: Optional[int] = None,
                     out_override: Optional[str] = None) -> RunConfig:
@@ -148,12 +158,7 @@ def load_run_config(path, seed_override: Optional[int] = None,
         if not (0.0 <= valuation < maturity):
             raise ConfigError("need 0 <= valuation_time < maturity")
         chis = _parse_chis(cp, spot)
-        fsec = cp["fourier"] if cp.has_section("fourier") else {}
-        for key in fsec:
-            if key != "alpha":
-                raise ConfigError(f"[fourier] {key}: unknown key; the only "
-                                  "[fourier] key is alpha")
-        fourier = FourierConfig(alpha=float(fsec.get("alpha", 1.75)))
+        fourier = _read_fourier(cp)
         n_paths = cp.getint("mc", "n_paths", fallback=1_000_000)
         seed = cp.getint("mc", "seed", fallback=0)
         out = cp.get("output", "path", fallback=None)
@@ -291,26 +296,23 @@ def cmd_verify(rc: RunConfig) -> int:
 # calibrate
 # ---------------------------------------------------------------------------
 
-def _init_params(cp: configparser.ConfigParser, family: str):
-    if not cp.has_section("calibration"):
-        raise ConfigError("config needs a [calibration] section with init_* keys")
-    try:
-        return _read_params(cp["calibration"], family, prefix="init_")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_calibrate(config_path, quotes_path, family: str,
                   out_path: Optional[str]) -> int:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not cp.read(config_path):
         raise ConfigError(f"cannot read config file {config_path}")
-    init = _init_params(cp, family)
+    if not cp.has_section("calibration"):
+        raise ConfigError("config needs a [calibration] section with init_* keys")
+    try:
+        init = _read_params(cp["calibration"], family, prefix="init_")
+        fourier = _read_fourier(cp)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         quotes = cal.read_quotes(quotes_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"quote file error: {exc}") from exc
-    result = cal.calibrate(quotes, init)
+    result = cal.calibrate(quotes, init, fourier)
     if out_path:
         cal.write_result(out_path, result)
     rep = result.constraint_report

@@ -32,12 +32,12 @@ Two evaluators share those integrands:
   QUADPACK flags (``head``, ``head-osc``, ``tail``, ``tail-osc``,
   ``tail-rot``).
 
-Both apply the same checks to each result: the ``alpha-fallback`` of the
-tail kind in a narrow strip, StripError for other kinds, ``clamped`` for
-values just outside a kind's range, and AccuracyError for a value or error
-estimate that is not finite or an error estimate above 1e-5.  Only this
-module knows the integrands, prefactors, Gaussian cutoff and contour
-directions.
+Both check the damping line with ``_check_strip`` (StripError when it
+leaves the strip of phi) and apply the same checks to each result:
+``clamped`` for values just outside a kind's range, and AccuracyError for
+a value or error estimate that is not finite or an error estimate above
+1e-5.  Only this module knows the integrands, prefactors, Gaussian cutoff
+and contour directions.
 """
 
 from __future__ import annotations
@@ -241,24 +241,16 @@ def _prefactor(kind: str, alpha: float, k: float) -> float:
 
 def _clamped(kind: str, value: float, err: float,
              flags: List[str]) -> float:
-    lo, hi = {"i1": (0.0, 1.0), "tail": (0.0, 1.0),
-              "price": (0.0, math.inf), "i2": (0.0, math.inf)}[kind]
-    tol = max(_CLAMP_TOL, 10.0 * err)
-    if value < lo:
-        if lo - value > tol:
+    """value moved into the kind's range, [0, 1] or [0, inf), if it left
+    it by at most max(_CLAMP_TOL, 10 err); AccuracyError if by more."""
+    edge = min(max(value, 0.0), 1.0 if kind in ("i1", "tail") else math.inf)
+    if edge != value:
+        if abs(edge - value) > max(_CLAMP_TOL, 10.0 * err):
             raise AccuracyError(
-                f"{kind} transform left its range by {lo - value:.3g} "
+                f"{kind} transform left its range by {abs(edge - value):.3g} "
                 f"(err estimate {err:.3g})")
         flags.append("clamped")
-        return lo
-    if value > hi:
-        if value - hi > tol:
-            raise AccuracyError(
-                f"{kind} transform left its range by {value - hi:.3g} "
-                f"(err estimate {err:.3g})")
-        flags.append("clamped")
-        return hi
-    return value
+    return edge
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +338,12 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
     estimate above the accuracy limit, raises AccuracyError."""
     if chi <= 0:
         raise ValueError(f"moneyness must be > 0, got {chi}")
-    a, flags = _damping(kind, phi, cfg.alpha)
+    _check_strip(phi, cfg.alpha)
 
     if kind == "i2" and model is not None and model.measure.is_zero:
         return FourierResult(0.0, 0.0, ())
 
-    k = math.log(chi)
+    a, flags, k = cfg.alpha, [], math.log(chi)
     psi = _make_psi(kind, phi, a, model)
     head, err_h = _segment(psi, k, 0.0, _V_MAX, flags, "head")
     tail, err_t = _tail(kind, phi, model, a, k, _V_MAX, flags, psi)
@@ -599,22 +591,25 @@ class _Nodes:
                     for _, v, _, _, _ in self.paths[1:]]
         return out
 
-    def integrate(self, kind: str, samples, k: np.ndarray, carrier: float,
-                  model: Optional[MmmModel], phases=None,
+    def integrate(self, kind: str, samples, k: np.ndarray, phi: CharFn,
+                  model: Optional[MmmModel], phases: dict,
                   n_head: Optional[int] = None, factors=None):
-        """Re of integral_0^inf e^{-ivk} psi(v) dv per log-moneyness k, the
-        sum of the per-panel error estimates (zero without the nested rule)
-        and the contraction of ``factors`` (None without them).
+        """The transform of ``kind`` per log-moneyness k: the prefactor
+        times Re of integral_0^inf e^{-ivk} psi(v) dv, with the closed-form
+        asymptote past the last contour node (``_tails``); times the sum of
+        the per-panel error estimates (zero without the nested rule) and
+        the asymptote's last term; and times the contraction of ``factors``
+        without the asymptote (None without them).
 
-        Strikes with k >= carrier take the downward contour, the others the
-        upward one.  ``phases`` caches e^{-ivk} on every node across calls
-        with the same k; ``n_head`` keeps only the first head panels
+        Strikes with k >= phi.carrier take the downward contour, the others
+        the upward one.  ``phases`` caches e^{-ivk} on every node across
+        calls with the same k; ``n_head`` keeps only the first head panels
         (``samples[0]`` holds just theirs).  ``factors``, per path a (q,
         panels, m) array shaped like its samples, gives the (q, strikes)
         integrals of psi times each factor: one matmul per path of the
         factors times the weighted integrand that the value contracts.
         """
-        down = k >= carrier
+        down = k >= phi.carrier
         value = np.zeros(k.size)
         err = np.zeros(k.size)
         columns = None if factors is None else np.zeros((len(factors[0]),
@@ -625,12 +620,10 @@ class _Nodes:
             kk = k[sel]
             if kk.size == 0:
                 continue
-            ph = None if phases is None else phases.get(name)
+            ph = phases.get(name)
             if ph is None:
-                ph = np.multiply.outer(-1j * kk, v)
+                ph = phases[name] = np.multiply.outer(-1j * kk, v)
                 np.exp(ph, out=ph)
-                if phases is not None:
-                    phases[name] = ph
             if name == "head" and n_head is not None:
                 v, w, ph = v[:n_head], w[:n_head], ph[:, :n_head]
                 d = None if d is None else d[:n_head]
@@ -647,7 +640,10 @@ class _Nodes:
                        np.einsum("spm,pm->s", np.abs(ph), np.abs(wf)))
                 err[sel] += (np.abs(np.einsum("spm,pm->sp", ph, d * f)).sum(axis=1)
                              + _ROUNDING * mag)
-        return value, err, columns
+        tail, tail_err = _tails(kind, phi, model, self.alpha, k, self.s_end)
+        pre = np.array([_prefactor(kind, self.alpha, x) for x in k])
+        return (pre * (value + tail), pre * (err + tail_err),
+                None if columns is None else pre * columns)
 
 
 def _node_range(phi: CharFn, alpha: float) -> Tuple[float, Optional[float]]:
@@ -683,77 +679,59 @@ def _tails(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
     return value, err
 
 
-def _damping(kind: str, phi: CharFn, alpha: float) -> Tuple[float, List[str]]:
-    """The damping line of a kind and its flags; only the tail falls back
-    to a line inside a narrow strip, the other kinds raise StripError."""
+def _check_strip(phi: CharFn, alpha: float) -> None:
+    """StripError unless the damping line Im(z) = -alpha lies inside the
+    strip of phi."""
     lo, hi = phi.strip_im
-    if lo < -alpha < hi:
-        return alpha, []
-    if kind == "tail":
-        if not (lo < -1.0):
-            raise StripError(
-                f"no damping line in (1, 2] fits the strip ({lo}, {hi})")
-        a = 0.5 * (1.0 + min(2.0, -lo - 1e-9))
-        return a, [f"alpha-fallback:{a:.6g}"]
-    raise StripError(
-        f"damping line Im(z) = -{alpha} outside the strip ({lo}, {hi})")
+    if not (lo < -alpha < hi):
+        raise StripError(
+            f"damping line Im(z) = -{alpha} outside the strip ({lo}, {hi})")
 
 
 def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
                     cfg: FourierConfig, model: Optional[MmmModel] = None
-                    ) -> Dict[str, Tuple[Union[FourierResult, Exception], ...]]:
+                    ) -> Dict[str, Tuple[Union[FourierResult, AccuracyError], ...]]:
     """Every transform of ``kinds`` at every moneyness, from one set of
     fixed nodes.
 
-    phi is sampled once per damping line; each kind multiplies the samples
-    by its own rational factor, and e^{-ivk} is shared across kinds.  Each
+    phi is sampled once; each kind multiplies the samples by its own
+    rational factor, and e^{-ivk} is shared across kinds.  A damping line
+    outside the strip of phi raises StripError for the whole call.  Each
     entry is the FourierResult of one moneyness, checked as ``transform``
-    checks its result, or the exception that moneyness raised (an
-    AccuracyError for a value or error estimate that is not finite or an
-    error estimate above the accuracy limit); an exception of a whole kind
-    (StripError) fills every entry of that kind.  err_est is the prefactor
-    times the sum over panels of |32-node - 16-node|, plus a rounding
-    budget and the size of the last asymptote term.
+    checks its result, or the AccuracyError that moneyness raised (for a
+    value or error estimate that is not finite or an error estimate above
+    the accuracy limit).  err_est is the prefactor times the sum over
+    panels of |32-node - 16-node|, plus a rounding budget and the size of
+    the last asymptote term.
     """
     chis = np.asarray(chis, dtype=float)
     if np.any(chis <= 0):
         raise ValueError("moneyness must be > 0")
-    k = np.log(chis)
-    out: Dict[str, Tuple[Union[FourierResult, Exception], ...]] = {}
-    lines: Dict[float, List[Tuple[str, List[str]]]] = {}
     for kind in kinds:
         _check_kind(kind, model)
-        try:
-            a, flags = _damping(kind, phi, cfg.alpha)
-        except StripError as exc:
-            out[kind] = (exc,) * k.size
-            continue
+    a = cfg.alpha
+    _check_strip(phi, a)
+    k = np.log(chis)
+    v_end, s_end = _node_range(phi, a)
+    nodes = _Nodes(a, v_end, s_end, float(np.abs(k).max(initial=0.0)),
+                   errors=True)
+    samples = nodes.sample(phi)
+    phases: Dict[str, np.ndarray] = {}
+    out: Dict[str, Tuple[Union[FourierResult, AccuracyError], ...]] = {}
+    for kind in kinds:
         if kind == "i2" and model.measure.is_zero:
             out[kind] = (FourierResult(0.0, 0.0, ()),) * k.size
             continue
-        lines.setdefault(a, []).append((kind, flags))
-    for a, group in lines.items():
-        v_end, s_end = _node_range(phi, a)
-        nodes = _Nodes(a, v_end, s_end, float(np.abs(k).max(initial=0.0)),
-                       errors=True)
-        samples = nodes.sample(phi)
-        phases: Dict[str, np.ndarray] = {}
-        for kind, flags in group:
-            value, err, _ = nodes.integrate(kind, samples, k, phi.carrier,
-                                            model, phases)
-            tail, tail_err = _tails(kind, phi, model, a, k, s_end)
-            pre = [_prefactor(kind, a, x) for x in k]
-            out[kind] = tuple(
-                _checked(kind, float(c), float(p * (v + t)), float(p * (e + te)),
-                         list(flags))
-                for c, p, v, t, e, te in zip(chis, pre, value, tail, err, tail_err))
-    return {kind: out[kind] for kind in kinds}
+        value, err, _ = nodes.integrate(kind, samples, k, phi, model, phases)
+        out[kind] = tuple(_checked(kind, float(c), float(v), float(e))
+                          for c, v, e in zip(chis, value, err))
+    return out
 
 
-def _checked(kind: str, chi: float, value: float, err: float,
-             flags: List[str]) -> Union[FourierResult, AccuracyError]:
+def _checked(kind: str, chi: float, value: float,
+             err: float) -> Union[FourierResult, AccuracyError]:
     try:
-        return _result(kind, chi, value, err, flags)
+        return _result(kind, chi, value, err, [])
     except AccuracyError as exc:
         return exc
 
@@ -771,8 +749,9 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     checked once, on Psi, for the longest expiry, which covers the others.
     A caller that prices the same strikes again and again (a calibration)
     may pass the same ``cache`` dict each time: it keeps the nodes and
-    e^{-ivk} while they stay valid.  A price that is not finite, or leaves
-    [0, inf) by more than the clamp tolerance, raises AccuracyError.
+    e^{-ivk} while they stay valid.  A price is checked by ``_clamped``'s
+    rule at err 0: one that is not finite or below -_CLAMP_TOL raises
+    AccuracyError, and a smaller negative one becomes 0.
 
     With ``dpsi``, a map from z and the base moments (g(w), g(w + 1)) at
     w = iz that ``mmm_cumulant`` computed for Psi to the derivatives of Psi
@@ -780,18 +759,14 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     (prices, jacobians), ``jacobians[j]`` the (strikes, n) derivatives of
     the prices at ``expiries[j]``: tau times the price integrand, times
     dPsi, contracted with the same e^{-ivk} in one matmul per path beside
-    the prices, which stay bit-identical.  The closed-form asymptote past
-    the last contour node, which only strikes next to the carrier take
-    (``_tails``), is left out of the derivatives.
+    the prices, which stay bit-identical.  The derivatives leave out the
+    closed-form asymptote past the last contour node.
     """
     phis = [_char_fn(model, tau) for tau in expiries]
     _check_martingale(model, max(expiries))
     logs = [np.log(np.asarray(s, dtype=float) / spot) for s in strikes]
     a = cfg.alpha
-    lo, hi = model.strip()
-    if not (lo < -a < hi):
-        raise StripError(
-            f"damping line Im(z) = -{a} outside the strip ({lo}, {hi})")
+    _check_strip(phis[0], a)
     ranges = [_node_range(p, a) for p in phis]
     s_ends = [s for _, s in ranges if s is not None]
     key = (a, max(v for v, _ in ranges), min(s_ends) if s_ends else None,
@@ -815,21 +790,20 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
         n = nodes.head_panels(v_end)
         samples = [np.exp(phi.horizon * psi[0][:n])] \
             + [np.exp(phi.horizon * p) for p in psi[1:]]
-        phases = cache.setdefault(j, {})
-        value, _, columns = nodes.integrate(
-            "price", samples, k, phi.carrier, None, phases, n_head=n,
+        prices, _, columns = nodes.integrate(
+            "price", samples, k, phi, None, cache.setdefault(j, {}),
+            n_head=n,
             factors=None if grads is None else [grads[0][:, :n]] + grads[1:])
-        tail, _ = _tails("price", phi, None, a, k, nodes.s_end)
-        pre = np.array([_prefactor("price", a, x) for x in k])
-        prices = pre * (value + tail)
-        for i, p in enumerate(prices):
-            if not math.isfinite(p):
-                raise AccuracyError(f"price is not finite at expiry "
-                                    f"{phi.horizon} and chi={math.exp(k[i])}")
-            prices[i] = _clamped("price", p, 0.0, [])
+        bad = ~np.isfinite(prices) | (prices < -_CLAMP_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AccuracyError(
+                f"price {prices[i]!r} at expiry {phi.horizon} and "
+                f"chi={math.exp(k[i])} is not finite or below -{_CLAMP_TOL}")
+        prices[prices < 0.0] = 0.0
         out.append(spot * prices)
         if columns is not None:
-            jacobians.append(spot * phi.horizon * (pre * columns).T)
+            jacobians.append(spot * phi.horizon * columns.T)
     return out if dpsi is None else (out, jacobians)
 
 
@@ -850,10 +824,7 @@ def theorem4_condition_integral(phi: CharFn) -> ConditionIntegral:
     16-node|, the tail's budget and their rounding budgets; one that is not
     finite or above _ACCURACY_LIMIT of the total raises AccuracyError.
     """
-    lo, hi = phi.strip_im
-    if not (lo < -2.0 < hi):
-        raise StripError(
-            f"the line Im(z) = -2 lies outside the strip ({lo}, {hi})")
+    _check_strip(phi, 2.0)
     if phi.sigma > 0.0:
         v_end, _ = _node_range(phi, 2.0)
     elif phi.asymptote is None:

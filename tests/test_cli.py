@@ -342,6 +342,36 @@ def test_calibrate_cli_empty_quotes(tmp_path):
                  "--family", "merton"]) == EXIT_CONFIG
 
 
+def test_calibrate_reads_the_fourier_section(tmp_path, capsys, monkeypatch):
+    # calibrate takes [fourier] as sweep and verify do: alpha reaches the
+    # fit, and any other key, or an alpha outside (1, 2], exits 2
+    from levyhedge import cli
+    qpath = tmp_path / "quotes.csv"
+    write_quotes(qpath, QuoteSet(spot=100.0, quotes=(Quote(0.25, 100.0, 2.5),)))
+    ini = tmp_path / "cal.ini"
+    init = ("[calibration]\ninit_sigma = 0.04\ninit_gamma = 0.005\n"
+            "init_m = -0.07\ninit_delta = 0.09\n[fourier]\n")
+    args = ["calibrate", "--config", str(ini), "--quotes", str(qpath),
+            "--family", "merton"]
+    for line, message in (("mode = fft", "[fourier] mode"),
+                          ("alpha = 7", "alpha must lie in (1, 2]")):
+        ini.write_text(init + line + "\n")
+        assert main(args) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    class Fitted(Exception):
+        pass
+
+    def fit(quotes, start, cfg=None, **kwargs):
+        raise Fitted(cfg)
+
+    monkeypatch.setattr(cli.cal, "calibrate", fit)
+    ini.write_text(init + "alpha = 1.25\n")
+    with pytest.raises(Fitted) as fitted:
+        main(args)
+    assert fitted.value.args == (FourierConfig(alpha=1.25),)
+
+
 _IMPORT_PROBE = """
 import json, sys
 import levyhedge, levyhedge.calibration

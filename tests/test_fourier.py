@@ -22,8 +22,10 @@ from levyhedge import (
     theorem4_condition_integral,
     to_mmm,
     transform,
+    transform_batch,
 )
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
+from levyhedge.fourier import call_prices
 from levyhedge.models import (MertonMeasure, VgMeasure, VgParams, vg_from_kappa,
                               vg_model)
 
@@ -150,17 +152,50 @@ def _narrow_strip_phi(phi):
                   fn_analytic=phi.fn_analytic)
 
 
-def test_tail_alpha_fallback(phi_merton):
+def test_narrow_strip_raises_strip_error(merton_mmm, phi_merton):
+    # no kind has a fallback line: the oracle, the batch engine (for the
+    # whole call) and the condition integral all refuse a line outside the
+    # strip
     narrow = _narrow_strip_phi(phi_merton)
-    res = transform("tail", narrow, 1.05, FourierConfig(alpha=2.0))
-    assert any(f.startswith("alpha-fallback") for f in res.flags)
-    assert 0.0 <= res.value <= 1.0
+    cfg = FourierConfig(alpha=2.0)
+    for kind in ("i1", "tail", "price", "i2"):
+        with pytest.raises(StripError):
+            transform(kind, narrow, 1.05, cfg, model=merton_mmm)
+        with pytest.raises(StripError):
+            transform_batch((kind,), narrow, [0.95, 1.05], cfg, merton_mmm)
+    with pytest.raises(StripError):
+        theorem4_condition_integral(narrow)
 
 
 def test_i1_strip_violation_raises(phi_merton):
     narrow = _narrow_strip_phi(phi_merton)
     with pytest.raises(StripError):
         transform("i1", narrow, 1.05, FourierConfig(alpha=2.0))
+
+
+def test_call_prices_refuses_a_nan_cumulant(merton_mmm, cfg, monkeypatch):
+    # one NaN of Psi on one head node spoils every price of the expiry
+    real = fourier.mmm_cumulant
+
+    def spoiled(model, z, *args, **kwargs):
+        out = real(model, z, *args, **kwargs)
+        if isinstance(z, np.ndarray) and kwargs.get("check_strip", True):
+            out[0][0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(fourier, "mmm_cumulant", spoiled)
+    with pytest.raises(AccuracyError, match="not finite"):
+        call_prices(merton_mmm, 100.0, [0.25], [np.array([90.0, 100.0])], cfg)
+
+
+@pytest.mark.parametrize("family", ["merton", "vg", "bs"])
+def test_call_prices_deep_out_of_the_money(family, request, cfg):
+    # prices of order 1e-19, rounding around zero, still come out finite
+    # and non-negative
+    mmm = request.getfixturevalue(f"{family}_mmm")
+    (prices,) = call_prices(mmm, 1.0, [1.0 / 365.0], [np.array([1e3, 1e4])],
+                            cfg)
+    assert np.all(np.isfinite(prices)) and np.all(prices >= 0.0)
 
 
 # ---------------------------------------------------------------------------

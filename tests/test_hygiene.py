@@ -2,7 +2,9 @@
 name resolves, no module imports a name it never uses, no production
 module reaches the adaptive-quadrature oracle ``fourier.transform``, the
 oracle does not reach the batch engine it checks, and the condition
-integral stays on fixed nodes; scipy.integrate serves only the oracle,
+integral stays on fixed nodes; one function checks the damping line
+against the strip and one evaluation step finishes every engine
+transform; scipy.integrate serves only the oracle,
 scipy.optimize only the body of ``calibrate``, and the quadrature oracle
 of the Levy-measure moments names none of the closed forms it checks.
 Threads serve only the Monte Carlo oracle: importing the CLI, ``sweep``
@@ -171,6 +173,60 @@ def test_condition_integral_stays_off_adaptive_quadrature():
     found = _function_references(source, ("theorem4_condition_integral",),
                                  ("quad", "transform"))
     assert not found, f"the condition integral names {found}"
+
+
+def _scopes_reading(source: str, name: str):
+    """Dotted names of the innermost functions and classes of ``source``
+    ("" at module level) that read ``name``: load it as a variable or an
+    attribute, or import it."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == name
+                 and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.Attribute) and child.attr == name
+                        and isinstance(child.ctx, ast.Load))
+                    or (isinstance(child, ast.alias)
+                        and name in (child.name, child.asname))):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_one_strip_check_and_one_evaluation_step():
+    # the engine's entry points share one damping-line check and one
+    # evaluation step: only _check_strip reads a strip, only
+    # _Nodes.integrate adds the asymptote past the last contour node, and
+    # the prefactor is applied there and in the oracle's transform alone
+    source = (SRC / "fourier.py").read_text(encoding="utf-8")
+    assert _scopes_reading(source, "_tails") == ["_Nodes.integrate"]
+    assert _scopes_reading(source, "_prefactor") == ["_Nodes.integrate",
+                                                     "transform"]
+    found = [(name, scope)
+             for name in MODULES + ["__init__"]
+             for scope in _scopes_reading(
+                 (SRC / f"{name}.py").read_text(encoding="utf-8"), "strip_im")]
+    assert found == [("fourier", "_check_strip")]
+
+
+def test_reader_check_detects_each_form():
+    src = ("from .fourier import _tails\n"
+           "class _Nodes:\n"
+           "    strip_im: tuple\n"
+           "    def integrate(self, phi):\n"
+           "        return phi.strip_im, _tails\n"
+           "def f(phi):\n"
+           "    phi.strip_im = 1\n"
+           "    g = _tails\n"
+           "    return CharFn(strip_im=2)\n")
+    assert _scopes_reading(src, "_tails") == ["", "_Nodes.integrate", "f"]
+    assert _scopes_reading(src, "strip_im") == ["_Nodes.integrate"]
 
 
 def _scipy_imports(source: str, package: str = "integrate"):
