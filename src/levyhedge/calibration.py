@@ -221,7 +221,6 @@ def constraint_report(params: Params) -> ConstraintReport:
     notes = ""
     if isinstance(params, VgParams):
         band = params.m_par - params.g_par
-        ok = ok and params.m_par > 4.0
         notes = f"M-G={band:.6g} (needs [1, 3)); M={params.m_par:.6g} (> 4)"
     return ConstraintReport(ok=ok, mu_s=mu_s, lower=lower, notes=notes)
 

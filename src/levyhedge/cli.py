@@ -162,7 +162,7 @@ def load_run_config(path, seed_override: Optional[int] = None,
         n_paths = cp.getint("mc", "n_paths", fallback=1_000_000)
         seed = cp.getint("mc", "seed", fallback=0)
         out = cp.get("output", "path", fallback=None)
-    except (ValueError, TypeError, configparser.Error) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     if seed_override is not None:
         seed = seed_override
@@ -367,8 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_verify(rc)
         if args.command == "calibrate":
             return cmd_calibrate(args.config, args.quotes, args.family, args.out)
-    except (ConfigError, AssumptionError, LevyIntegrabilityError,
-            StripError) as exc:
+    except (ConfigError, configparser.Error, AssumptionError,
+            LevyIntegrabilityError, StripError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

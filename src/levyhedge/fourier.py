@@ -53,7 +53,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .levy_core import (
     AccuracyError,
-    DivergenceError,
     MmmModel,
     StripError,
     _exp,
@@ -112,7 +111,8 @@ class CharFn:
     asymptote  -- for pure-jump models whose jump transform is a sum of
                   logarithms (variance gamma), a callable returning the
                   1/w-series of log phi on the rotated contours and the
-                  |w| past which it converges.
+                  |w| past which it converges; a pure-jump CharFn
+                  without one (pure-jump Merton) raises ValueError.
     """
 
     fn: Callable
@@ -122,6 +122,11 @@ class CharFn:
     fn_analytic: Callable
     carrier: float = 0.0
     asymptote: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.sigma == 0.0 and self.asymptote is None:
+            raise ValueError("a pure-jump characteristic function needs a "
+                             "closed-form asymptote for Fourier inversion")
 
     def __call__(self, z):
         return self.fn(z)
@@ -147,9 +152,6 @@ def _char_fn(model: MmmModel, horizon: float) -> CharFn:
     """``char_fn`` without the martingale check."""
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if model.sigma == 0.0 and model.measure.is_zero:
-        raise ValueError("degenerate deterministic model has no density; "
-                         "Fourier inversion does not apply")
 
     @_memoized
     def fn(z):
@@ -662,16 +664,12 @@ def _node_range(phi: CharFn, alpha: float) -> Tuple[float, Optional[float]]:
 def _tails(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
            k: np.ndarray, s_end: Optional[float]):
     """Asymptote contributions past the contour's last node, for the strikes
-    whose contour integrand has not decayed there; a strike that needs one
-    without a closed-form asymptote gets NaN, so it fails its checks."""
+    whose contour integrand has not decayed there."""
     value = np.zeros(k.size)
     err = np.zeros(k.size)
     if s_end is None:
         return value, err
     for i in np.flatnonzero(np.abs(k - phi.carrier) * s_end < _S_DECAY):
-        if phi.asymptote is None:
-            value[i] = err[i] = math.nan
-            continue
         tail, last = _asymptote_tail(kind, phi, model, alpha, k[i], s_end)
         rot = -1j if k[i] >= phi.carrier else 1j
         value[i] = (rot * tail).real
@@ -751,7 +749,8 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     may pass the same ``cache`` dict each time: it keeps the nodes and
     e^{-ivk} while they stay valid.  A price is checked by ``_clamped``'s
     rule at err 0: one that is not finite or below -_CLAMP_TOL raises
-    AccuracyError, and a smaller negative one becomes 0.
+    AccuracyError, and a smaller negative one becomes 0.  A spot or strike
+    that is not positive raises ValueError.
 
     With ``dpsi``, a map from z and the base moments (g(w), g(w + 1)) at
     w = iz that ``mmm_cumulant`` computed for Psi to the derivatives of Psi
@@ -762,6 +761,8 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     the prices, which stay bit-identical.  The derivatives leave out the
     closed-form asymptote past the last contour node.
     """
+    if not (spot > 0 and all(np.all(np.asarray(s) > 0) for s in strikes)):
+        raise ValueError("spot and strikes must be positive")
     phis = [_char_fn(model, tau) for tau in expiries]
     _check_martingale(model, max(expiries))
     logs = [np.log(np.asarray(s, dtype=float) / spot) for s in strikes]
@@ -818,19 +819,14 @@ def theorem4_condition_integral(phi: CharFn) -> ConditionIntegral:
     large-moneyness bound.  phi is sampled once on the engine's head nodes
     of the line alpha = 2: to the Gaussian cutoff if sigma > 0, else to
     _TAIL_REACH radii of its asymptote's series (at least _V_MAX), whose
-    closed-form tail is added.  A pure-jump model without an asymptote
-    raises DivergenceError (of the shipped models, pure-jump Merton: its
-    law has an atom).  err_est is the head's sum over panels of |32-node -
-    16-node|, the tail's budget and their rounding budgets; one that is not
-    finite or above _ACCURACY_LIMIT of the total raises AccuracyError.
+    closed-form tail is added.  err_est is the head's sum over panels of
+    |32-node - 16-node|, the tail's budget and their rounding budgets; one
+    that is not finite or above _ACCURACY_LIMIT of the total raises
+    AccuracyError.
     """
     _check_strip(phi, 2.0)
     if phi.sigma > 0.0:
         v_end, _ = _node_range(phi, 2.0)
-    elif phi.asymptote is None:
-        raise DivergenceError(
-            "pure-jump characteristic function without a closed-form "
-            "asymptote: condition integral treated as divergent")
     else:
         asymptote = phi.asymptote()
         v_end = min(max(_V_MAX, _TAIL_REACH * (asymptote[3] + 2.0)),

@@ -71,8 +71,7 @@ def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
         sqrt(5) / (2 pi (sigma^2 + C2)) * integral |phi(v-2i)|/(1+v) dv
             * [ C2- + integral_0^inf e^{2x} (e^x - 1)^2 nu(dx) ]
 
-    Returns None when the condition integral diverges (possible only for
-    sigma = 0) or misses its accuracy limit.
+    Returns None when the condition integral misses its accuracy limit.
     """
     try:
         condition = theorem4_condition_integral(phi)

@@ -23,7 +23,6 @@ __all__ = [
     "AssumptionError",
     "StripError",
     "AccuracyError",
-    "DivergenceError",
     "LevyMeasure",
     "ZeroMeasure",
     "LevyModel",
@@ -49,11 +48,6 @@ class StripError(ValueError):
 
 class AccuracyError(RuntimeError):
     """A numerical result failed to meet its accuracy contract."""
-
-
-class DivergenceError(AccuracyError):
-    """The condition integral of a pure-jump characteristic function with no
-    closed-form asymptote, whose decay is unknown: treated as divergent."""
 
 
 def _within(x, lo: float, hi: float) -> bool:
@@ -293,7 +287,8 @@ def to_mmm(model: LevyModel) -> MmmModel:
     """Build the minimal-martingale-measure dynamics for ``model``.
 
     Validates the integrability conditions and the drift constraint
-    0 >= mu_s > -(sigma^2 + C2) eagerly (this is what keeps theta_x < 1),
+    0 >= mu_s > -(sigma^2 + C2) eagerly (this is what keeps theta_x < 1; it
+    refuses every drift of the deterministic model, sigma = 0 and nu = 0),
     then assembles the Girsanov-tilted Levy triplet:
 
         xi      = mu_s * sigma / (sigma^2 + C2)
@@ -310,14 +305,6 @@ def to_mmm(model: LevyModel) -> MmmModel:
     c2p, c2m = c2_split(model)
     c2 = c2p + c2m
     denom = model.sigma**2 + c2
-    if denom == 0.0:
-        # deterministic model: only mu = 0 is arbitrage-free
-        if abs(mu_s) > 1e-14:
-            raise AssumptionError(
-                f"degenerate model (sigma=0, nu=0) requires mu_s=0, got {mu_s}")
-        return MmmModel(base=model, mu_s=0.0, xi=0.0, beta=0.0, c2=0.0,
-                        c2_plus=0.0, c2_minus=0.0, drift_star=model.mu,
-                        m1_star=0.0, exp_moment_1=g1)
     if 0.0 < mu_s <= 1e-12 * max(1.0, denom):
         mu_s = 0.0  # roundoff from cancelling drift terms
     if not (0.0 >= mu_s > -denom):

@@ -141,6 +141,28 @@ def test_infeasible_drift_is_config_error(tmp_path):
     assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
 
 
+def test_deterministic_model_is_config_error(tmp_path, capsys):
+    # bs with sigma = 0 leaves 0 >= mu_s > -(sigma^2 + C2) empty
+    ini = tmp_path / "bs0.ini"
+    ini.write_text(BS_INI.replace("sigma = 0.2", "sigma = 0"))
+    assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
+    assert "drift constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "verify", "calibrate"])
+@pytest.mark.parametrize("text", ["family = bs\nsigma = 0.2\n",
+                                  "[model]\nfamily = bs\nfamily = vg\n"],
+                         ids=["no-section-header", "duplicate-key"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, verb, text):
+    ini = tmp_path / "malformed.ini"
+    ini.write_text(text)
+    args = [verb, "--config", str(ini)]
+    if verb == "calibrate":
+        args += ["--quotes", str(tmp_path / "quotes.csv"), "--family", "merton"]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

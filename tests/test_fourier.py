@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from levyhedge import fourier
 from levyhedge import (
     AccuracyError,
     CharFn,
-    DivergenceError,
     FourierConfig,
     LevyModel,
     StripError,
@@ -188,6 +188,17 @@ def test_call_prices_refuses_a_nan_cumulant(merton_mmm, cfg, monkeypatch):
         call_prices(merton_mmm, 100.0, [0.25], [np.array([90.0, 100.0])], cfg)
 
 
+@pytest.mark.parametrize("spot, strike", [(100.0, 0.0), (100.0, -90.0),
+                                          (0.0, 90.0), (-100.0, 90.0),
+                                          (100.0, math.nan)])
+def test_call_prices_refuses_non_positive_inputs(merton_mmm, cfg, spot,
+                                                 strike):
+    # as call_price and transform_batch refuse them, before any node is built
+    with pytest.raises(ValueError, match="positive"):
+        call_prices(merton_mmm, spot, [0.25, 1.0],
+                    [np.array([90.0, 100.0]), np.array([100.0, strike])], cfg)
+
+
 @pytest.mark.parametrize("family", ["merton", "vg", "bs"])
 def test_call_prices_deep_out_of_the_money(family, request, cfg):
     # prices of order 1e-19, rounding around zero, still come out finite
@@ -256,12 +267,47 @@ def _atom(z):
     return np.exp(1j * np.asarray(z, complex) * 0.01)
 
 
+def test_char_fn_rejects_degenerate_model(pure_jump_merton):
+    # with sigma = 0 and no closed-form asymptote the decay of phi is
+    # unknown, so neither a transform nor the condition integral could be
+    # closed: pure-jump Merton (its law has an atom, so |phi| does not
+    # decay) is refused by char_fn, and a hand-built CharFn as it is built;
+    # the deterministic model never gets this far (to_mmm refuses it)
+    with pytest.raises(ValueError, match="asymptote"):
+        char_fn(pure_jump_merton, HORIZON)
+    with pytest.raises(ValueError, match="asymptote"):
+        CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+               fn_analytic=_atom)
+
+
 def test_condition_integral_divergence_error():
-    # a distribution with an atom: |phi| does not decay at all
-    flat = CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
-                  fn_analytic=_atom)
-    with pytest.raises(DivergenceError):
-        theorem4_condition_integral(flat)
+    # a distribution with an atom: |phi| does not decay at all, so the
+    # condition integral would diverge; such a CharFn is refused as it is
+    # built, before the integral can be asked for
+    with pytest.raises(ValueError, match="asymptote"):
+        theorem4_condition_integral(
+            CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+                   fn_analytic=_atom))
+
+
+def test_condition_integral_drifting_decay_diverges():
+    # no decay at all (an atom), and a decay power that keeps falling
+    # (1/log v): neither has a closed-form asymptote, so neither CharFn can
+    # be built for the condition integral
+    def slow_fn(z):
+        return 1.0 / np.log(np.e + np.abs(z))
+    for fn in (_atom, slow_fn):
+        with pytest.raises(ValueError, match="asymptote"):
+            CharFn(fn=fn, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
+                   fn_analytic=fn)
+
+
+def test_replaced_pure_jump_char_fn_keeps_its_asymptote(vg_mmm):
+    # a CharFn with swapped fn and fn_analytic, as the verify negative
+    # control builds it, still constructs on benchmark variance gamma
+    phi = char_fn(vg_mmm, HORIZON)
+    swapped = dataclasses.replace(phi, fn=_atom, fn_analytic=_atom)
+    assert swapped.fn is _atom and swapped.asymptote is phi.asymptote
 
 
 def test_condition_integral_vg_one_day_is_finite(vg_mmm):
@@ -286,20 +332,6 @@ def test_condition_integral_small_stable_power_is_finite():
     ref = condition_integral_reference(phi)
     assert res.decay_power == pytest.approx(1.0 / 365.0, rel=1e-6)
     assert abs(res.total - ref) <= 1e-12 * ref + res.err_est
-
-
-def test_condition_integral_drifting_decay_diverges():
-    # no decay at all (an atom), and a decay power that keeps falling
-    # (1/log v: the power fitted per decade never settles)
-    def slow_fn(z):
-        return 1.0 / np.log(np.e + np.abs(z))
-    flat = CharFn(fn=_atom, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
-                  fn_analytic=_atom)
-    slow = CharFn(fn=slow_fn, horizon=0.05, strip_im=(-5.0, 5.0), sigma=0.0,
-                  fn_analytic=slow_fn)
-    for phi in (flat, slow):
-        with pytest.raises(DivergenceError):
-            theorem4_condition_integral(phi)
 
 
 @pytest.mark.parametrize("family", ["merton", "vg"])
@@ -407,13 +439,6 @@ def test_fourier_config_validation():
         FourierConfig(alpha=1.0)
     with pytest.raises(ValueError):
         FourierConfig(alpha=2.5)
-
-
-def test_char_fn_rejects_degenerate_model():
-    from levyhedge import LevyModel, ZeroMeasure
-    mmm = to_mmm(LevyModel(mu=0.0, sigma=0.0, measure=ZeroMeasure()))
-    with pytest.raises(ValueError, match="degenerate"):
-        char_fn(mmm, 0.05)
 
 
 # ---------------------------------------------------------------------------

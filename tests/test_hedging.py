@@ -1,9 +1,23 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from levyhedge import AccuracyError, char_fn, hedging, transform, transform_batch
+from levyhedge import (
+    AccuracyError,
+    LevyModel,
+    c2_split,
+    char_fn,
+    compute_mu_s,
+    hedging,
+    to_mmm,
+    transform,
+    transform_batch,
+)
 from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
 from levyhedge.hedging import bound_t4_constant, strategy_point, sweep
+from levyhedge.models import MertonMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -76,26 +90,26 @@ def test_bound_t4_scales_as_one_over_chi(vg_mmm, phi_vg, cfg):
         assert pt.bound_t4 == pytest.approx(c / chi, rel=1e-9)
 
 
-def test_bound_t4_absent_when_condition_diverges(vg_mmm, phi_vg, cfg):
-    from levyhedge import CharFn
-    def atom(z):
-        return np.exp(1j * np.asarray(z, complex) * 0.01)
-    flat = CharFn(fn=atom, horizon=HORIZON, strip_im=(-5.0, 5.0), sigma=0.0,
-                  fn_analytic=atom)
-    assert bound_t4_constant(vg_mmm, flat) is None
+def test_bound_t4_absent_when_condition_diverges(pure_jump_merton):
+    # the law of pure-jump Merton has an atom, so its condition integral
+    # diverges; char_fn refuses the model, and no bound_t4 is ever computed
+    with pytest.raises(ValueError, match="asymptote"):
+        bound_t4_constant(pure_jump_merton,
+                          char_fn(pure_jump_merton, HORIZON))
 
 
-def test_bound_t4_absent_when_condition_misses_accuracy(cfg):
-    # near-lattice Merton jumps: the condition integral's err_est is about
-    # 4e-2 of its total, so the bound is left out, and the sweep goes on
-    from levyhedge import LevyModel, c2_split, compute_mu_s, to_mmm
-    from levyhedge.models import MertonMeasure
+def _near_lattice_merton():
+    # Merton jumps on a near lattice: |phi(v - 2i)| peaks every 4 pi in v,
+    # and the condition integral's err_est is about 4e-2 of its total
     probe = LevyModel(mu=0.0, sigma=0.01, measure=MertonMeasure(5.0, 0.5, 0.01))
     mu = -compute_mu_s(probe) - 0.5 * (0.01**2 + sum(c2_split(probe)))
     mmm = to_mmm(LevyModel(mu=mu, sigma=0.01, measure=probe.measure))
-    phi = char_fn(mmm, 5.0)
+    return mmm, char_fn(mmm, 5.0)
+
+
+def test_bound_t4_absent_when_condition_misses_accuracy():
+    mmm, phi = _near_lattice_merton()
     assert bound_t4_constant(mmm, phi) is None
-    assert all(p.bound_t4 is None for p in sweep(mmm, phi, [0.9, 1.1], cfg))
 
 
 def test_bounds_dominate_difference_on_grid(merton_mmm, phi_merton,
@@ -128,13 +142,11 @@ def test_sweep_validates_grid(vg_mmm, phi_vg, cfg):
         sweep(vg_mmm, phi_vg, [-1.0, 1.0], cfg)
 
 
-def test_sweep_computes_divergent_condition_integral_once(pure_jump_merton,
-                                                         cfg, monkeypatch):
-    # pure-jump Merton is compound Poisson: the law of L has an atom, so
-    # |phi(v - 2i)| does not decay and the condition integral diverges; the
-    # sweep learns that once and must not retry it at every point
-    mmm = pure_jump_merton
-    phi = char_fn(mmm, HORIZON)
+def test_sweep_computes_failed_condition_integral_once(cfg, monkeypatch):
+    # the condition integral of near-lattice Merton misses its accuracy
+    # limit; the sweep learns that once, must not retry it at every point,
+    # and goes on without the bound
+    mmm, phi = _near_lattice_merton()
     calls = []
     real = hedging.theorem4_condition_integral
 
@@ -148,11 +160,18 @@ def test_sweep_computes_divergent_condition_integral_once(pure_jump_merton,
     assert all(p.bound_t4 is None for p in points)
 
 
-def test_non_finite_transform_is_a_flagged_error(pure_jump_merton, cfg):
-    # the Gaussian jump transform of pure-jump Merton overflows on the
-    # rotated contour; the NaN must surface as an error, not as an ok point
-    mmm = pure_jump_merton
-    phi = char_fn(mmm, HORIZON)
+def test_non_finite_transform_is_a_flagged_error(merton_mmm, phi_merton,
+                                                 cfg):
+    # a phi that turns NaN past |z| = 100: the NaN must surface as an
+    # error, not as an ok point
+    def spoiled(f):
+        def g(z):
+            out = np.where(np.abs(z) > 100.0, math.nan, f(z))
+            return out if isinstance(z, np.ndarray) else complex(out)
+        return g
+    mmm = merton_mmm
+    phi = dataclasses.replace(phi_merton, fn=spoiled(phi_merton.fn),
+                              fn_analytic=spoiled(phi_merton.fn_analytic))
     for kind in ("i1", "tail", "i2"):
         with pytest.raises(AccuracyError, match="not finite"):
             transform(kind, phi, 1.0, cfg, model=mmm)

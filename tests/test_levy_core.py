@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from levyhedge import (
     AssumptionError,
-    char_fn,
     LevyIntegrabilityError,
     LevyModel,
     StripError,
@@ -215,16 +214,15 @@ def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
                 mmm.measure.exp_moment(ws, "bogus")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cumulant_scalar_overflow_is_non_finite(pure_jump_merton):
-    # far down the rotated contour the Gaussian jump transform of pure-jump
-    # Merton overflows: a scalar point gives numpy's non-finite value, as
-    # its array element does, instead of raising OverflowError
+    # far off the real axis the Gaussian jump transform of pure-jump Merton
+    # overflows: a scalar point gives numpy's non-finite value, as its
+    # array element does, instead of raising OverflowError
     z = 409.6 - 1000.0j - 1.75j
     scalar = mmm_cumulant(pure_jump_merton, z, check_strip=False)
     (vec,) = mmm_cumulant(pure_jump_merton, np.array([z]), check_strip=False)
     assert not np.isfinite(scalar) and not np.isfinite(vec)
-    phi = char_fn(pure_jump_merton, 0.05)
-    assert not np.isfinite(phi.fn_analytic(z))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +257,9 @@ def test_vg_validate_agrees_with_quadrature(m_big):
                 check()
 
 
-def test_degenerate_model_requires_zero_drift():
-    with pytest.raises(AssumptionError, match="degenerate"):
-        to_mmm(LevyModel(mu=0.01, sigma=0.0, measure=ZeroMeasure()))
-    mmm = to_mmm(LevyModel(mu=0.0, sigma=0.0, measure=ZeroMeasure()))
-    assert mmm.xi == 0.0
+def test_to_mmm_refuses_deterministic_model():
+    # sigma = 0 and nu = 0 make 0 >= mu_s > -(sigma^2 + C2) empty: no drift,
+    # not even mu_s = 0, passes the drift constraint
+    for mu in (-0.01, 0.0, 0.01):
+        with pytest.raises(AssumptionError, match="drift constraint"):
+            to_mmm(LevyModel(mu=mu, sigma=0.0, measure=ZeroMeasure()))
