@@ -53,8 +53,7 @@ def vg_benchmark() -> VgParams:
 
 def bs_benchmark(sigma: float = 0.2) -> LevyModel:
     """Pure Black-Scholes model with the martingale drift (mu_s = 0)."""
-    return LevyModel(mu=-0.5 * sigma**2, sigma=sigma, measure=ZeroMeasure(),
-                     s0=SPOT)
+    return LevyModel(mu=-0.5 * sigma**2, sigma=sigma, measure=ZeroMeasure())
 
 
 def benchmark_strikes() -> np.ndarray:

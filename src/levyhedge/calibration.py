@@ -7,22 +7,12 @@ within about 1e-14 of spot of the adaptive ``call_price``.  The fit is
 bounded trust-region-reflective least squares (``scipy.optimize.
 least_squares``, method "trf") on the residuals (model - mid) / sqrt(n),
 whose norm is the RMSE, in box coordinates that are exactly the
-admissible set 0 >= mu_s > -(sigma^2 + C2):
-
-* Merton: (log sigma, log gamma, m, log delta, f), with f = -beta in
-  [0, 1) placing mu_s at -f (sigma^2 + C2); mu follows from f;
-* variance gamma: (log C, M, D), with M > 4 and D = M - G in [1, 3), the
-  form the drift constraint takes for it.
-
-The open edges keep a margin of 1e-6.  The Jacobian is analytic: with
-w = iz, Psi*(z) = w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
-- beta (g(w + 1) - g(w) - g(1)), g the base measure's ``exp_moment``, so
-dPsi*/dtheta is closed form (beta = g(1) / C2 for variance gamma), reuses
-the g(w) and g(w + 1) that Psi* evaluated, and the price derivatives come
-from the prices' own integrand times tau dPsi*/dtheta, in the same pass
-(``call_prices``).  The fit runs from three starts: the caller's,
-clamped into the box, and that point with f (or D) at 1/4 and at 3/4 of
-its range, because the variance-gamma RMSE has a second minimum along D.
+admissible set 0 >= mu_s > -(sigma^2 + C2) (``_Family``).  The Jacobian
+is the prices' own integrand times tau dPsi*/dtheta, closed form, in the
+same pass (``call_prices``).  The fit runs from three starts: the
+caller's, clamped into the box, and that point with its tilt coordinate
+at 1/4 and at 3/4 of its range, because the variance-gamma RMSE has a
+second minimum along D.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from .levy_core import (
     compute_mu_s,
     to_mmm,
 )
-from .models import MertonParams, VgParams, _mu_for_mu_s, build_model
+from .models import MertonMeasure, MertonParams, VgParams, _mu_for_mu_s, build_model
 
 __all__ = [
     "Quote",
@@ -193,12 +183,10 @@ def _prices_for(params: Params, qs: QuoteSet, cfg: FourierConfig,
     return in_quote_order(prices), in_quote_order(jacobians)
 
 
-def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig,
-         cache: Optional[dict] = None) -> float:
-    """Root-mean-squared error of model prices against mid quotes;
-    ``cache`` as in ``fourier.call_prices``."""
+def rmse(params: Params, qs: QuoteSet, cfg: FourierConfig) -> float:
+    """Root-mean-squared error of model prices against mid quotes."""
     mids = np.array([q.mid for q in qs.quotes])
-    prices = _prices_for(params, qs, cfg, cache)
+    prices = _prices_for(params, qs, cfg)
     return float(np.sqrt(np.mean((prices - mids) ** 2)))
 
 
@@ -225,55 +213,31 @@ def constraint_report(params: Params) -> ConstraintReport:
     return ConstraintReport(ok=ok, mu_s=mu_s, lower=lower, notes=notes)
 
 
-# margin kept inside the open edges of the box (f < 1, M > 4, D < 3)
+# margin kept inside the open edges of the box (omega < 1, M > 4, D < 3)
 _EDGE = 1e-6
 # a fit whose RMSE is at most this share of spot reprices the quotes to
 # rounding: no other start can better it, so the remaining starts are
-# skipped.  On exact quotes a Merton start away from the true f would
-# otherwise creep along that weakly identified coordinate for hundreds of
-# steps, its RMSE falling ~0.2% per step from ~5e-11 of spot.
+# skipped (on the benchmark quotes, 10 evaluations in place of 46 for
+# Merton and 53 in place of 165 for variance gamma)
 _EXACT = 1e-12
-
-
-def _cumulant_grad(model: MmmModel, z, moments, grad_g: Callable,
-                   beta_follows: bool):
-    """The derivatives of Psi*(z) in the compact form
-
-        w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2 / 2 + g(w)
-            - beta (g(w + 1) - g(w) - g(1)),   w = iz,
-
-    with g the base measure's ``exp_moment``, ``moments`` = (g(w), g(w + 1))
-    from ``mmm_cumulant``, and C2 = g(2) - 2 g(1): (d_beta, d_jumps), the
-    derivative along beta and those along the jump parameters whose
-    derivatives of g ``grad_g(w, g_w)`` stacks on a leading axis, given
-    g(w) where it is at hand.  Those hold beta fixed, unless
-    ``beta_follows``: then beta = g(1) / C2 moves with them, as for variance
-    gamma, whose mu_s is g(1)."""
-    w = 1j * np.asarray(z, dtype=complex)
-    gw, gw1 = moments
-    g1, c2, beta = complex(model.exp_moment_1), model.c2, model.beta
-    d_beta = w * c2 + gw - gw1 + g1
-    dg1, dg2 = grad_g(1.0), grad_g(2.0)
-    dc2 = dg2 - 2.0 * dg1
-    col = (slice(None),) + (None,) * w.ndim
-    d_jumps = (w * (beta * dc2 - dg1)[col] + (1.0 + beta) * grad_g(w, gw)
-               - beta * grad_g(w + 1.0, gw1) + (beta * dg1)[col])
-    if beta_follows:
-        d_jumps += ((dg1 - beta * dc2) / c2)[col] * d_beta
-    return d_beta, d_jumps
 
 
 @dataclass(frozen=True)
 class _Family:
     """A parameter family in box coordinates, the admissible set exactly:
 
-    * Merton: (log sigma, log gamma, m, log delta, f), f = -beta in [0, 1)
-      the position of mu_s = -f (sigma^2 + C2) in its band; mu follows.
+    * Merton: (log sigma, log lam, omega, m*, log delta*) of the MMM jump
+      law lam ((1 - omega) N(m, delta^2) + omega N(m + delta^2, delta^2))
+      (``MertonMeasure.tilted``), omega in [0, 1), with its mean m* = m +
+      omega delta^2 and variance delta*^2 = delta^2 + omega (1 - omega)
+      delta^4.  The prices see only this law, and omega alone moves only
+      its shape, so the weakly identified direction is one axis; mu follows.
     * variance gamma: (log C, M, D), D = M - G in [1, 3) and M > 4.
 
-    ``tilt`` indexes f or D, the coordinate along which the extra starts
-    are placed; ``dpsi(model, z, moments)`` stacks the derivatives of Psi*
-    along the box coordinates, given ``_cumulant_grad``'s base moments."""
+    The open edges keep a margin of _EDGE.  ``tilt`` indexes omega or D,
+    the coordinate of the extra starts; ``dpsi(model, z, moments)`` stacks
+    the derivatives of Psi* along the box coordinates, given the base
+    moments (g(w), g(w + 1)) at w = iz that ``mmm_cumulant`` returns."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -284,27 +248,62 @@ class _Family:
 
 
 def _merton_params(x: np.ndarray) -> MertonParams:
-    p = MertonParams(mu=0.0, sigma=math.exp(x[0]), gamma=math.exp(x[1]),
-                     m=float(x[2]), delta=math.exp(x[3]))
-    return replace(p, mu=_mu_for_mu_s(p, float(x[4])))
+    lam, omega, var_star = math.exp(x[1]), float(x[2]), math.exp(2.0 * x[4])
+    # delta^2 from delta*^2 = delta^2 + omega (1 - omega) delta^4, the
+    # root that cancels nothing
+    var = 2.0 * var_star / (1.0 + math.sqrt(1.0 + 4.0 * omega * (1.0 - omega)
+                                            * var_star))
+    m = float(x[3]) - omega * var
+    gamma_f = omega * lam * math.exp(-m - 0.5 * var)
+    gamma = (1.0 - omega) * lam + gamma_f
+    p = MertonParams(mu=0.0, sigma=math.exp(x[0]), gamma=gamma, m=m,
+                     delta=math.sqrt(var))
+    return replace(p, mu=_mu_for_mu_s(p, gamma_f / gamma))
 
 
 def _merton_box(p: MertonParams) -> np.ndarray:
     rep = constraint_report(p)
-    return np.array([math.log(p.sigma), math.log(p.gamma), p.m,
-                     math.log(p.delta), rep.mu_s / rep.lower])
+    # f = -beta clamped into its range first: outside it lam may be <= 0
+    f = min(max(rep.mu_s / rep.lower, 0.0), 1.0 - _EDGE)
+    lam, omega = MertonMeasure(p.gamma, p.m, p.delta).tilted(-f)
+    var = p.delta**2
+    return np.array([math.log(p.sigma), math.log(lam), omega,
+                     p.m + omega * var,
+                     0.5 * math.log(var + omega * (1.0 - omega) * var * var)])
 
 
 def _merton_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
+    """Derivatives of the martingale form Psi*(w) = sigma^2 (w^2 - w) / 2 +
+    lam (K(w) - 1 - w (K(1) - 1)), w = iz, with K(w) = (1 - omega) E(w) +
+    omega E(w + 1) / E(1) the moment function of the MMM jump law and
+    E(w) = 1 + g(w) / gamma that of N(m, delta^2)."""
     nu = model.measure
-
-    def grad_g(w, g_w=None):
-        d_gamma, d_m, d_delta = nu.exp_moment_grad(w)
-        return np.array([nu.gamma * d_gamma, d_m, nu.delta * d_delta])
-
-    d_beta, d_jumps = _cumulant_grad(model, z, moments, grad_g, False)
+    lam, omega = nu.tilted(model.beta)
+    var = nu.delta**2
+    e1 = math.exp(nu.m + 0.5 * var)
     w = 1j * z
-    return np.concatenate([[model.sigma**2 * (w * w - w)], d_jumps, [-d_beta]])
+
+    def mixture(w, a, b):
+        # K and its derivatives along (omega, m, delta^2), given the
+        # components' moment functions a = E(w) and b = E(w + 1) / E(1)
+        k = (1.0 - omega) * a + omega * b
+        return k, np.array([b - a, w * k, 0.5 * w * w * k + omega * w * b])
+
+    k, dk = mixture(w, 1.0 + moments[0] / nu.gamma,
+                    (1.0 + moments[1] / nu.gamma) / e1)
+    k1, dk1 = mixture(1.0, e1, math.exp(nu.m + 1.5 * var))
+    dq = dk - w * dk1.reshape((3,) + (1,) * w.ndim)
+    # (omega, m, delta^2) along (omega, m*, log delta*), from
+    # m = m* - omega delta^2 and delta*^2 = delta^2 + omega (1 - omega) delta^4
+    a = omega * (1.0 - omega)
+    dvar_domega = -(1.0 - 2.0 * omega) * var * var / (1.0 + 2.0 * a * var)
+    dvar_dlog = 2.0 * (var + a * var * var) / (1.0 + 2.0 * a * var)
+    chain = np.array([[1.0, -var - omega * dvar_domega, dvar_domega],
+                      [0.0, 1.0, 0.0],
+                      [0.0, -omega * dvar_dlog, dvar_dlog]])
+    return np.concatenate([[model.sigma**2 * (w * w - w),
+                            lam * (k - 1.0 - w * (k1 - 1.0))],
+                           lam * np.tensordot(chain, dq, axes=1)])
 
 
 def _vg_params(x: np.ndarray) -> VgParams:
@@ -317,19 +316,31 @@ def _vg_box(p: VgParams) -> np.ndarray:
 
 
 def _vg_dpsi(model: MmmModel, z: np.ndarray, moments) -> np.ndarray:
+    """Derivatives of Psi*(z) = w (beta C2 - sigma^2/2 - g(1)) + sigma^2 w^2
+    / 2 + g(w) - beta (g(w + 1) - g(w) - g(1)), w = iz, g the base
+    ``exp_moment`` and C2 = g(2) - 2 g(1), with beta = g(1) / C2 moving."""
     nu = model.measure
 
     def grad_g(w, g_w=None):
         d_c, d_g, d_m = nu.exp_moment_grad(w, g_w)      # G = M - D
         return np.array([nu.c * d_c, d_g + d_m, -d_g])
 
-    return _cumulant_grad(model, z, moments, grad_g, beta_follows=True)[1]
+    w = 1j * np.asarray(z, dtype=complex)
+    gw, gw1 = moments
+    g1, c2, beta = complex(model.exp_moment_1), model.c2, model.beta
+    d_beta = w * c2 + gw - gw1 + g1
+    dg1, dg2 = grad_g(1.0), grad_g(2.0)
+    dc2 = dg2 - 2.0 * dg1
+    col = (slice(None),) + (None,) * w.ndim
+    d_jumps = (w * (beta * dc2 - dg1)[col] + (1.0 + beta) * grad_g(w, gw)
+               - beta * grad_g(w + 1.0, gw1) + (beta * dg1)[col])
+    return d_jumps + ((dg1 - beta * dc2) / c2)[col] * d_beta
 
 
 _FAMILIES = {
-    MertonParams: _Family(np.array([-np.inf] * 4 + [0.0]),
-                          np.array([np.inf] * 4 + [1.0 - _EDGE]), 4,
-                          _merton_params, _merton_box, _merton_dpsi),
+    MertonParams: _Family(np.array([-np.inf, -np.inf, 0.0, -np.inf, -np.inf]),
+                          np.array([np.inf, np.inf, 1.0 - _EDGE, np.inf, np.inf]),
+                          2, _merton_params, _merton_box, _merton_dpsi),
     VgParams: _Family(np.array([-np.inf, 4.0 + _EDGE, 1.0]),
                       np.array([np.inf, np.inf, 3.0 - _EDGE]), 2,
                       _vg_params, _vg_box, _vg_dpsi),

@@ -97,7 +97,7 @@ def _read_params(section: configparser.SectionProxy, family: str,
     raise ConfigError(f"unknown model family {family!r}")
 
 
-def _read_model(section: configparser.SectionProxy, spot: float) -> Tuple[str, LevyModel]:
+def _read_model(section: configparser.SectionProxy) -> Tuple[str, LevyModel]:
     family = section.get("family", "").strip().lower()
     if family == "bs":
         sigma = section.getfloat("sigma")
@@ -106,8 +106,8 @@ def _read_model(section: configparser.SectionProxy, spot: float) -> Tuple[str, L
         mu = section.getfloat("mu")
         if mu is None:
             mu = -0.5 * sigma * sigma
-        return family, LevyModel(mu=mu, sigma=sigma, measure=ZeroMeasure(), s0=spot)
-    return family, build_model(_read_params(section, family), s0=spot)
+        return family, LevyModel(mu=mu, sigma=sigma, measure=ZeroMeasure())
+    return family, build_model(_read_params(section, family))
 
 
 def _parse_chis(cp: configparser.ConfigParser, spot: float) -> Tuple[float, ...]:
@@ -152,7 +152,9 @@ def load_run_config(path, seed_override: Optional[int] = None,
         if not cp.has_section("model"):
             raise ConfigError("config needs a [model] section")
         spot = cp["model"].getfloat("spot", fallback=1.0)
-        family, model = _read_model(cp["model"], spot)
+        if not spot > 0:
+            raise ConfigError(f"spot must be > 0, got {spot}")
+        family, model = _read_model(cp["model"])
         maturity = cp.getfloat("horizon", "maturity", fallback=1.0)
         valuation = cp.getfloat("horizon", "valuation_time", fallback=0.95)
         if not (0.0 <= valuation < maturity):

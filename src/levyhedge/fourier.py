@@ -128,9 +128,6 @@ class CharFn:
             raise ValueError("a pure-jump characteristic function needs a "
                              "closed-form asymptote for Fourier inversion")
 
-    def __call__(self, z):
-        return self.fn(z)
-
 
 def char_fn(model: MmmModel, horizon: float) -> CharFn:
     """Build the MMM characteristic function of L over ``horizon``, after
@@ -777,7 +774,7 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
         cache.clear()
         cache["key"] = key
         cache["nodes"] = _Nodes(a, key[1], key[2],
-                                max(float(np.abs(x).max()) for x in logs),
+                                max(float(np.abs(x).max(initial=0.0)) for x in logs),
                                 errors=False)
     nodes = cache["nodes"]
     zs = [v - 1j * a for _, v, _, _, _ in nodes.paths]

@@ -189,19 +189,15 @@ class LevyModel:
     mu     -- drift of the log-price exponent (per unit time)
     sigma  -- Brownian volatility, >= 0
     measure-- Levy measure of the jumps
-    s0     -- initial asset price, > 0
     """
 
     mu: float
     sigma: float
     measure: LevyMeasure
-    s0: float = 1.0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.s0 <= 0:
-            raise ValueError(f"s0 must be > 0, got {self.s0}")
 
     def validate(self) -> None:
         self.measure.validate()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr  # normal CDF of every Merton model: loads on import
@@ -146,14 +146,17 @@ class MertonMeasure(LevyMeasure):
             return _complex(g * (_gauss_emoment(m, d, w) * up - p_pos))
         return _complex(g * (_gauss_emoment(m, d, w) * (1.0 - up) - (1.0 - p_pos)))
 
-    def exp_moment_grad(self, w, g_w=None) -> np.ndarray:
-        """Derivatives of exp_moment(w) (region "all") along (gamma, m,
-        delta), stacked on a leading axis of 3.  ``g_w``, exp_moment(w)
-        if the caller has it, is not needed here."""
-        w = _complex(w)
-        e = _gauss_emoment(self.m, self.delta, w)
-        return np.array([e - 1.0, self.gamma * w * e,
-                         self.gamma * self.delta * w * w * e])
+    def tilted(self, beta: float) -> Tuple[float, float]:
+        """The jump measure under the tilt theta_x = beta (e^x - 1),
+        (1 - theta_x) nu(dx) = lam ((1 - omega) N(m, delta^2) + omega
+        N(m + delta^2, delta^2)), as the pair (lam, omega); both components
+        are nonnegative for -1 <= beta <= 0, the MMM's range."""
+        g, m, d = self.gamma, self.m, self.delta
+        e1 = math.exp(m + 0.5 * d * d)
+        w1 = g * (1.0 + beta)        # N(m, d^2) component mass
+        w2 = -g * beta * e1          # N(m+d^2, d^2) component mass
+        lam = w1 + w2
+        return lam, w2 / lam
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return self.gamma * (self.m + w * self.delta**2) * float(_gauss_emoment(self.m, self.delta, w).real)
@@ -237,33 +240,29 @@ class VgMeasure(LevyMeasure):
 # Model builders and the operations the rest of the library calls
 # ---------------------------------------------------------------------------
 
-def merton_model(p: MertonParams, s0: float = 1.0) -> LevyModel:
+def merton_model(p: MertonParams) -> LevyModel:
     return LevyModel(mu=p.mu, sigma=p.sigma,
-                     measure=MertonMeasure(p.gamma, p.m, p.delta), s0=s0)
+                     measure=MertonMeasure(p.gamma, p.m, p.delta))
 
 
-def vg_model(p: VgParams, sigma: float = 0.0, mu: Optional[float] = None,
-             s0: float = 1.0) -> LevyModel:
+def vg_model(p: VgParams) -> LevyModel:
     """A variance-gamma exponential Levy model.
 
     The pure subordinated form has no Brownian part and no extra drift, so
-    by default sigma = 0 and mu equals the mean jump C(1/M - 1/G) (which is
-    the drift that makes the compensated-jump representation reproduce
-    L_t = m G_t + delta B_{G_t}).  Both can be overridden.
+    sigma = 0 and mu equals the mean jump C(1/M - 1/G) (which is the drift
+    that makes the compensated-jump representation reproduce
+    L_t = m G_t + delta B_{G_t}).
     """
     measure = VgMeasure(p.c_par, p.g_par, p.m_par)
-    if mu is None:
-        mu = measure.mean_jump()
-    return LevyModel(mu=mu, sigma=sigma, measure=measure, s0=s0)
+    return LevyModel(mu=measure.mean_jump(), sigma=0.0, measure=measure)
 
 
-def build_model(params: Union[MertonParams, VgParams],
-                s0: float = 1.0) -> LevyModel:
+def build_model(params: Union[MertonParams, VgParams]) -> LevyModel:
     """The exponential Levy model of a Merton or variance-gamma record."""
     if isinstance(params, MertonParams):
-        return merton_model(params, s0=s0)
+        return merton_model(params)
     if isinstance(params, VgParams):
-        return vg_model(params, s0=s0)
+        return vg_model(params)
     raise TypeError(f"unsupported parameter record {type(params).__name__}")
 
 

@@ -5,10 +5,9 @@ L_tau exactly and estimates I1, I2, tail probabilities, and call prices
 with standard errors.  Sampling is exact for both shipped model families:
 
 * Merton: the tilted jump measure (1 - theta_x) nu(dx) is a two-component
-  Gaussian mixture ((1+beta) N(m, d^2) and -beta e^{m+d^2/2} N(m+d^2, d^2),
-  both weights nonnegative because beta <= 0), so compound-Poisson paths
-  are drawn with the tilted intensity and mixture sizes -- no rejection,
-  no weights.
+  Gaussian mixture (``MertonMeasure.tilted``), so compound-Poisson paths
+  are drawn with its intensity and mixture sizes -- no rejection, no
+  weights.
 * Variance gamma: (1 - theta_x) nu(dx) splits the same way into two VG
   measures, (1+beta) VG(C, G, M) and -beta VG(C, G+1, M-1), and each VG law
   at horizon tau is a difference of two gamma variates, so L_tau is an
@@ -155,13 +154,8 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
             out[start:start + nb] = model.drift_star * tau + model.sigma * math.sqrt(tau) * z
     elif isinstance(measure, MertonMeasure):
         method = "exact-tilted-compound-poisson"
-        g, m, d = measure.gamma, measure.m, measure.delta
-        beta = model.beta
-        e1 = math.exp(m + 0.5 * d * d)
-        w1 = g * (1.0 + beta)        # N(m, d^2) component mass
-        w2 = -g * beta * e1          # N(m+d^2, d^2) component mass
-        g_star = w1 + w2
-        p2 = w2 / g_star
+        m, d = measure.m, measure.delta
+        g_star, p2 = measure.tilted(model.beta)
         drift = (model.drift_star - model.m1_star) * tau
 
         def draw(rng, nb, start):

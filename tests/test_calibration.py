@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from levyhedge.levy_core import mmm_cumulant
 from levyhedge.models import (
     MertonParams,
     VgParams,
+    _mu_for_mu_s,
     build_model,
     merton_model,
     vg_from_kappa,
@@ -216,6 +218,61 @@ def test_vg_synthetic_recovery(vg_params, cfg):
     assert got.m_par == pytest.approx(vg_params.m_par, rel=0.10)
 
 
+def _mid_band(sigma, gamma, m, delta):
+    p = MertonParams(0.0, sigma, gamma, m, delta)
+    return replace(p, mu=_mu_for_mu_s(p))
+
+
+def _exact_quotes_at_100(params, cfg):
+    # 21 quotes: tau in {0.05, 0.25, 1} and 7 strikes in [80, 125]
+    taus = [0.05, 0.25, 1.0]
+    strikes = np.linspace(80.0, 125.0, 7)
+    prices = call_prices(to_mmm(merton_model(params)), 100.0, taus,
+                         [strikes] * len(taus), cfg)
+    return QuoteSet(spot=100.0, quotes=tuple(
+        Quote(T, float(K), float(p))
+        for T, row in zip(taus, prices) for K, p in zip(strikes, row)))
+
+
+def test_merton_fit_converges_along_the_weak_tilt(cfg):
+    # truth and start differ in f, which the prices barely see; fitted in
+    # (log sigma, log gamma, m, log delta, f) this set crept along f for
+    # 1800 evaluations and stopped unconverged at an RMSE of 7e-10
+    truth = MertonParams(-0.04289, 0.20872, 0.48872, -0.13875, 0.07697)
+    qs = _exact_quotes_at_100(truth, cfg)
+    res = calibrate(qs, _mid_band(0.20906, 0.46251, -0.17974, 0.09413), cfg)
+    assert res.converged
+    assert res.nfev <= 40
+    assert res.rmse <= 1e-12 * qs.spot
+
+
+def test_merton_fits_converge_on_seeded_random_sets(cfg):
+    # truth drawn over the admissible space, start the truth scaled by
+    # e^{+-0.2} with f mid-band: every fit stops on a tolerance
+    rng = np.random.default_rng(20161028)
+    scale = np.exp(0.2 * np.array([1.0, -1.0, 1.0, -1.0]))
+    for i in range(12):
+        sigma = rng.uniform(0.05, 0.4)
+        gamma = math.exp(rng.uniform(math.log(0.05), math.log(3.0)))
+        m, delta = rng.uniform(-0.3, 0.1), rng.uniform(0.03, 0.3)
+        f = rng.uniform(0.05, 0.95)
+        p = MertonParams(0.0, sigma, gamma, m, delta)
+        truth = replace(p, mu=_mu_for_mu_s(p, f))
+        start = _mid_band(*(np.array([sigma, gamma, m, delta]) * scale))
+        res = calibrate(_exact_quotes_at_100(truth, cfg), start, cfg)
+        assert res.converged, (i, res.message, res.nfev)
+
+
+@pytest.mark.parametrize("family, most", [("merton", 10), ("vg", 53)])
+def test_benchmark_fit_evaluation_count(family, most, cfg):
+    # the benchmark's calibrate op on the benchmark quotes from its own
+    # start: its cost follows the residual evaluations
+    qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
+    res = calibrate(qs, benchmark_start(family, 0.05), cfg)
+    assert res.converged
+    assert res.nfev <= most
+
+
 def test_infeasible_init_is_projected(merton_params, cfg):
     qs = synth_quotes(merton_params, cfg, n_exp=2, per_exp=5)
     p = merton_params
@@ -280,23 +337,44 @@ def test_vg_fit_escapes_the_second_minimum(cfg):
     assert res.converged
 
 
+def _jacobian_gaps(init, qs, cfg, h):
+    """Per box coordinate, the relative distance of the analytic column of
+    the prices' Jacobian from central differences at steps h max(1, |x|)."""
+    box = _FAMILIES[type(init)]
+    x = box.to_box(init)
+    _, jac = _prices_for(box.to_params(x), qs, cfg, dpsi=box.dpsi)
+    gaps = []
+    for q in range(x.size):
+        step = np.eye(x.size)[q] * h * max(1.0, abs(x[q]))
+        fd = (_prices_for(box.to_params(x + step), qs, cfg)
+              - _prices_for(box.to_params(x - step), qs, cfg)) / (2.0 * step[q])
+        gaps.append(np.linalg.norm(jac[:, q] - fd) / np.linalg.norm(jac[:, q]))
+    return gaps
+
+
 @pytest.mark.parametrize("family", ["merton", "vg"])
 @pytest.mark.parametrize("scale", [0.0, 0.05])
 def test_jacobian_matches_central_differences(family, scale, cfg):
     # at the truth and at the benchmark start, each analytic column of the
-    # residuals' Jacobian in box coordinates against central differences
+    # residuals' Jacobian in box coordinates against central differences;
+    # on these quotes the Merton omega column is 1e-5 of the next smallest,
+    # and rounding leaves differences within 2e-4 of it at best, so the
+    # next test checks that column where omega moves the prices
     qs = read_quotes(GOLDEN / f"quotes_{family}.csv")
     init = benchmark_start(family, scale)
-    box = _FAMILIES[type(init)]
-    x = box.to_box(init)
-    _, jac = _prices_for(box.to_params(x), qs, cfg, dpsi=box.dpsi)
-    for q in range(x.size):
-        # rounding limits the weakly identified Merton f column below ~1e-4
-        h = 1e-4 * max(1.0, abs(x[q]))
-        step = np.eye(x.size)[q] * h
-        fd = (_prices_for(box.to_params(x + step), qs, cfg)
-              - _prices_for(box.to_params(x - step), qs, cfg)) / (2.0 * h)
-        assert np.linalg.norm(jac[:, q] - fd) <= 1e-6 * np.linalg.norm(jac[:, q]), q
+    tilt = _FAMILIES[MertonParams].tilt if family == "merton" else None
+    for q, gap in enumerate(_jacobian_gaps(init, qs, cfg, 1e-4)):
+        if q != tilt:
+            assert gap <= 1e-6, q
+
+
+def test_merton_jacobian_matches_central_differences_along_omega(cfg):
+    # every column, omega's included, at (sigma, gamma, m, delta, f) =
+    # (0.2, 2, -0.2, 0.4, 0.5) on the benchmark Merton strikes and expiries
+    qs = read_quotes(GOLDEN / "quotes_merton.csv")
+    init = _mid_band(0.2, 2.0, -0.2, 0.4)
+    for q, gap in enumerate(_jacobian_gaps(init, qs, cfg, 1e-5)):
+        assert gap <= 1e-6, q
 
 
 @pytest.mark.parametrize("family", ["merton", "vg"])
@@ -345,8 +423,9 @@ def test_jacobian_reuses_the_base_moments_of_the_prices(family, cfg,
 
 
 def compact_cumulant(model, z, moments):
-    """Psi*(z) in the compact form whose derivatives
-    ``calibration._cumulant_grad`` takes, given (g(w), g(w + 1)) at w = iz."""
+    """Psi*(z) in the compact form whose derivatives the variance-gamma
+    Jacobian (``calibration._vg_dpsi``) takes, given (g(w), g(w + 1)) at
+    w = iz; the Merton Jacobian differentiates the martingale form."""
     w = 1j * np.asarray(z, dtype=complex)
     gw, gw1 = moments
     g1, c2, beta, s2 = complex(model.exp_moment_1), model.c2, model.beta, model.sigma**2
@@ -357,10 +436,10 @@ def compact_cumulant(model, z, moments):
 @pytest.mark.parametrize("params", [merton_benchmark(), vg_benchmark()],
                          ids=["merton", "vg"])
 def test_compact_cumulant_matches_mmm_cumulant(params, cfg):
-    # the compact form of Psi* that the Jacobian differentiates, on head
-    # points of the damping line and, for the pure-jump model, on both
-    # rotated contours (the engine samples a diffusive model on its head
-    # alone)
+    # the compact form of Psi*, on head points of the damping line and, for
+    # the pure-jump model, on both rotated contours (the engine samples a
+    # diffusive model on its head alone); it holds for every family, and
+    # the variance-gamma Jacobian differentiates it
     model = to_mmm(build_model(params))
     v = np.linspace(0.0, 409.6, 97)
     if model.sigma == 0.0:

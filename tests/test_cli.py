@@ -135,6 +135,14 @@ def test_bad_configs(tmp_path):
     assert main(["sweep", "--config", str(nostrikes)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("spot", ["0", "-5"])
+def test_non_positive_spot_is_config_error(tmp_path, capsys, spot):
+    ini = tmp_path / "spot.ini"
+    ini.write_text(MERTON_INI.replace("spot = 2102.4", f"spot = {spot}"))
+    assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
+    assert "spot must be > 0" in capsys.readouterr().err
+
+
 def test_infeasible_drift_is_config_error(tmp_path):
     ini = tmp_path / "bad_mu.ini"
     ini.write_text(MERTON_INI.replace("[horizon]", "mu = 4.0073\n\n[horizon]"))

@@ -9,10 +9,19 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge import FourierConfig, char_fn, to_mmm, transform, transform_batch
-from levyhedge.benchmarks import HORIZON, benchmark_chi_grid
+from levyhedge import (
+    FourierConfig,
+    LevyModel,
+    c2_split,
+    char_fn,
+    compute_mu_s,
+    to_mmm,
+    transform,
+    transform_batch,
+)
+from levyhedge.benchmarks import HORIZON, benchmark_chi_grid, vg_benchmark
 from levyhedge.fourier import _panel_rule, call_prices
-from levyhedge.models import VgParams, vg_model
+from levyhedge.models import VgMeasure, VgParams, vg_model
 
 KINDS = ("i1", "i2", "tail", "price")
 TAUS = (1 / 365, 0.0096, 0.05, 1.0, 5.0)
@@ -78,6 +87,44 @@ def test_engine_matches_transform_at_far_strikes(family, request, cfg):
     res = _batch(phi, chis, mmm)
     for kind in KINDS:
         for chi, r in zip(chis, res[kind]):
+            ref = transform(kind, phi, chi, cfg, model=mmm)
+            assert abs(r.value - ref.value) <= r.err_est + ref.err_est, \
+                f"{kind} chi={chi:g}"
+
+
+def _vg_off_carrier(params, share):
+    # VG jumps with the drift that puts mu_s at -share (sigma^2 + C2): the
+    # carrier is nonzero unless mu is the mean jump
+    jumps = VgMeasure(params.c_par, params.g_par, params.m_par)
+    probe = LevyModel(mu=0.0, sigma=0.0, measure=jumps)
+    mu = -compute_mu_s(probe) - share * sum(c2_split(probe))
+    return to_mmm(LevyModel(mu=mu, sigma=0.0, measure=jumps))
+
+
+@pytest.mark.parametrize("params", [vg_benchmark(), VgParams(0.5, 5.0, 7.0)],
+                         ids=["benchmark", "heavy"])
+@pytest.mark.parametrize("share", [0.1, 0.9])
+@pytest.mark.parametrize("tau", [1 / 365, 0.05, 1.0, 5.0],
+                         ids=["1d", "0.05", "1y", "5y"])
+def test_engine_off_a_nonzero_carrier(params, share, tau, cfg):
+    # at a carrier c != 0 the strikes split between the two contours at
+    # k = c: every kind is independent of the damping line within the
+    # error estimates at e^c, on either side of it and away from it, and
+    # agrees with the oracle away from it (nearer, the oracle's contour
+    # tail is the less reliable one)
+    mmm = _vg_off_carrier(params, share)
+    phi = char_fn(mmm, tau)
+    c = phi.carrier
+    assert c != 0.0
+    chis = np.exp([c, c - 1e-7, c + 1e-7, c - 1e-3, c + 1e-3,
+                   math.log(0.5), math.log(2.0)])
+    lines = [_batch(phi, chis, mmm, alpha) for alpha in (1.25, 1.75, 2.0)]
+    for kind in KINDS:
+        for a, b in zip(lines, lines[1:]):
+            for chi, ra, rb in zip(chis, a[kind], b[kind]):
+                assert abs(ra.value - rb.value) <= ra.err_est + rb.err_est, \
+                    f"{kind} chi={chi!r}"
+        for chi, r in zip(chis[-2:], lines[1][kind][-2:]):
             ref = transform(kind, phi, chi, cfg, model=mmm)
             assert abs(r.value - ref.value) <= r.err_est + ref.err_est, \
                 f"{kind} chi={chi:g}"

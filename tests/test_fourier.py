@@ -199,6 +199,27 @@ def test_call_prices_refuses_non_positive_inputs(merton_mmm, cfg, spot,
                     [np.array([90.0, 100.0]), np.array([100.0, strike])], cfg)
 
 
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_call_prices_takes_an_expiry_without_strikes(family, request, cfg):
+    # it prices nothing, has an empty Jacobian block, and leaves the other
+    # expiry's prices and Jacobian as a call without it gives them
+    mmm = request.getfixturevalue(f"{family}_mmm")
+
+    def dpsi(z, moments):
+        return np.stack([z, moments[0]])
+
+    strikes = np.array([90.0])
+    alone = call_prices(mmm, 100.0, [0.25], [strikes], cfg, dpsi=dpsi)
+    (prices, empty), (jac, empty_jac) = call_prices(
+        mmm, 100.0, [0.25, 0.25], [strikes, np.array([])], cfg, dpsi=dpsi)
+    assert np.array_equal(prices, alone[0][0])
+    assert np.array_equal(jac, alone[1][0])
+    assert empty.shape == (0,) and empty_jac.shape == (0, 2)
+    assert np.array_equal(call_prices(mmm, 100.0, [0.25, 0.25],
+                                      [strikes, np.array([])], cfg)[0],
+                          alone[0][0])
+
+
 @pytest.mark.parametrize("family", ["merton", "vg", "bs"])
 def test_call_prices_deep_out_of_the_money(family, request, cfg):
     # prices of order 1e-19, rounding around zero, still come out finite

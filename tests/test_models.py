@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhedge import StripError, mmm_cumulant, to_mmm
+from levyhedge import LevyModel, StripError, mmm_cumulant, to_mmm
 from levyhedge.models import (
     MertonMeasure,
     MertonParams,
@@ -12,7 +12,6 @@ from levyhedge.models import (
     VgParams,
     merton_c2_minus,
     vg_from_kappa,
-    vg_model,
     vg_to_kappa,
 )
 from quadrature import mmm_cumulant_quad
@@ -47,6 +46,19 @@ def test_merton_density_total_mass(merton_params):
     p = merton_params
     mass = quad(merton_density(p), -2, 2, epsabs=1e-14)[0]
     assert mass == pytest.approx(p.gamma, rel=1e-10)
+
+
+def test_merton_tilted_mixture_is_the_mmm_measure(merton_mmm):
+    # lam ((1 - omega) N(m, delta^2) + omega N(m + delta^2, delta^2)) is
+    # (1 - theta_x) nu(dx) pointwise
+    nu = merton_mmm.measure
+    lam, omega = nu.tilted(merton_mmm.beta)
+    assert 0.0 < omega < 1.0
+    x = np.linspace(nu.m - 6.0 * nu.delta, nu.m + 6.0 * nu.delta, 41)
+    shifted = MertonMeasure(1.0, nu.m + nu.delta**2, nu.delta).density
+    mixture = lam * ((1.0 - omega) * nu.density(x) / nu.gamma + omega * shifted(x))
+    tilted = (1.0 - merton_mmm.theta(x)) * nu.density(x)
+    assert np.max(np.abs(mixture - tilted) / tilted) <= 1e-12
 
 
 def test_vg_density_formulas(vg_params):
@@ -198,6 +210,9 @@ def test_vg_cumulant_strip_error(vg_params, vg_mmm):
 
 
 def test_vg_cumulant_with_diffusion(vg_params):
-    # optional Brownian component keeps the martingale identity
-    val = mmm_cumulant(to_mmm(vg_model(vg_params, sigma=0.1)), -1j)
+    # a Brownian component beside the VG jumps keeps the martingale identity
+    p = vg_params
+    jumps = VgMeasure(p.c_par, p.g_par, p.m_par)
+    model = LevyModel(mu=jumps.mean_jump(), sigma=0.1, measure=jumps)
+    val = mmm_cumulant(to_mmm(model), -1j)
     assert abs(val) <= 1e-12
