@@ -228,47 +228,58 @@ def cmd_sweep(rc: RunConfig, out_path: Optional[str]) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_VERIFY_QUANTITIES = ("i1", "tail_upper", "tail_lower", "price", "i2")
+
+
 def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
                   fcfg: FourierConfig,
                   mcfg: oracle_mc.McConfig) -> Tuple[List[dict], bool]:
     """Side-by-side Fourier vs Monte Carlo rows; pass = within 3 SE.
 
     The Fourier column comes from one batch-engine call for all strikes.
-    ``phi`` is injectable so a deliberately mis-specified characteristic
-    function shows up as a martingale/band failure.
+    A strike where the engine refuses a transform gets NaN rows that carry
+    the refusal as ``error``, so they fail; no paths are drawn when every
+    strike is refused.  ``phi`` is injectable so a deliberately
+    mis-specified characteristic function shows up as a martingale/band
+    failure.
     """
     fourier = transform_batch(("i1", "tail", "price", "i2"), phi, chis, fcfg,
                               model=mmm)
+    refused = {}
+    for i in range(len(chis)):
+        for res in (fourier[kind][i] for kind in fourier):
+            if isinstance(res, Exception):
+                refused[i] = f"{type(res).__name__}: {res}"
+                break
 
-    def value(kind: str, i: int) -> float:
-        res = fourier[kind][i]
-        if isinstance(res, Exception):
-            raise res
-        return res.value
-
-    sample = oracle_mc.simulate_log_returns(mmm, mcfg)
     rows: List[dict] = []
-    eL = np.exp(sample.log_returns)
-    se = float(eL.std(ddof=1) / math.sqrt(eL.size))
-    rows.append({"chi": "", "quantity": "martingale mean(e^L)",
-                 "fourier": 1.0, "mc": float(eL.mean()), "se": se,
-                 "z": (float(eL.mean()) - 1.0) / se})
+    if len(refused) < len(chis):
+        sample = oracle_mc.simulate_log_returns(mmm, mcfg)
+        mart = oracle_mc.martingale_from_sample(sample)
+        rows.append({"chi": "", "quantity": "martingale mean(e^L)",
+                     "fourier": 1.0, "mc": mart.value, "se": mart.se,
+                     "z": (mart.value - 1.0) / mart.se})
     for i, chi in enumerate(chis):
-        tu = value("tail", i)
+        if i in refused:
+            rows += [{"chi": chi, "quantity": name, "fourier": math.nan,
+                      "mc": math.nan, "se": math.nan, "z": math.nan,
+                      "error": refused[i]} for name in _VERIFY_QUANTITIES]
+            continue
+        value = {kind: fourier[kind][i].value for kind in fourier}
+        tu = value["tail"]
         tl = oracle_mc.tail_upper_from_sample(sample, chi)
-        pairs = [
-            ("i1", value("i1", i), oracle_mc.i1_from_sample(sample, chi)),
-            ("tail_upper", tu, tl),
-            ("tail_lower", 1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
-            ("price", value("price", i), oracle_mc.price_from_sample(sample, chi)),
-        ]
         e2 = oracle_mc.i2_from_sample(mmm, sample, chi)
-        v2 = value("i2", i)
         band2 = max(e2.se + e2.x_quad_err, 1e-15)
-        pairs.append(("i2", v2, oracle_mc.McEstimate(e2.value, band2)))
+        pairs = [
+            (value["i1"], oracle_mc.i1_from_sample(sample, chi)),
+            (tu, tl),
+            (1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
+            (value["price"], oracle_mc.price_from_sample(sample, chi)),
+            (value["i2"], oracle_mc.McEstimate(e2.value, band2)),
+        ]
         # zero-variance (all-identical) draws get the rule-of-three floor 1/n
         se_floor = 1.0 / sample.n_paths
-        for name, fv, est in pairs:
+        for name, (fv, est) in zip(_VERIFY_QUANTITIES, pairs):
             z = (fv - est.value) / max(est.se, se_floor)
             rows.append({"chi": chi, "quantity": name, "fourier": fv,
                          "mc": est.value, "se": est.se, "z": z})
@@ -291,6 +302,9 @@ def cmd_verify(rc: RunConfig) -> int:
         print(f"{chi:>8} {r['quantity']:>22} {r['fourier']:>14.8f} "
               f"{r['mc']:>14.8f} {r['se']:>10.2e} {r['z']:>+7.2f} {flag}")
     print(f"verify: {'all within 3 SE' if ok else 'BAND VIOLATIONS'}")
+    errors = {r["chi"]: r["error"] for r in rows if "error" in r}
+    for chi, error in errors.items():
+        print(f"verify: chi={chi!r}: {error}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_FAIL
 
 

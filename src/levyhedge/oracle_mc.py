@@ -14,14 +14,24 @@ with standard errors.  Sampling is exact for both shipped model families:
   exact four-gamma sum.
 
 Randomness comes from a counter-based Philox generator split into a fixed
-number of substreams, each filling its own slice of the sample.  The
-substreams, and the fixed-size path chunks of the I2 pass, run on a thread
-pool of one worker per usable CPU (numpy releases the GIL in bulk draws,
-``searchsorted`` and elementwise work); the pool starts on first use, and
-with one CPU the work runs serially.  Every task writes a disjoint slice
-and the means are taken once over whole arrays, so estimates are
+number of substreams, each filling its own slice of the sample.  Every
+estimator then fills its per-path array (two for I2) in fixed slices of
+``_CHUNK`` paths.  Substreams and slices run on a thread pool of one worker
+per usable CPU (numpy releases the GIL in bulk draws, gathers and
+elementwise work); the pool starts on first use, and with one CPU the work
+runs serially.  Every task writes a disjoint slice and each mean and
+standard error is taken once over a whole array, so estimates are
 reproducible bit for bit and depend neither on the chunking nor on the
-worker count.
+worker count.  ``_mean_se`` squares the deviations in the per-path array
+itself, so an estimator holds one path-length array (I2 two) beside the
+sample.
+
+I2 sums its quadrature nodes per path from suffix sums, read at the
+path's index among the sorted nodes.  ``_node_index`` finds that index in
+O(1) from a table of ``_BINS`` uniform bins, built per call from the node
+set, and a fixed number of one-node steps computed from the table; it
+equals ``np.searchsorted(..., side="right")`` exactly, because the
+floating-point bin of a key never decreases as the key grows.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ __all__ = [
     "McEstimate",
     "McI2Estimate",
     "simulate_log_returns",
+    "martingale_from_sample",
     "i1_from_sample",
     "i2_from_sample",
     "tail_upper_from_sample",
@@ -54,9 +65,11 @@ __all__ = [
 
 _GENERATOR = "numpy.random.Philox"
 _N_BATCHES = 64
-# paths per task of the I2 pass; fixed, so the split never follows the
-# worker count
+# paths per task of an estimator's per-path pass; fixed, so the split never
+# follows the worker count
 _CHUNK = 2**16
+# uniform bins of the I2 node index
+_BINS = 2**16
 
 
 # one worker per usable CPU (all CPUs where affinity is not exposed), and
@@ -200,25 +213,77 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
 # estimators
 # ---------------------------------------------------------------------------
 
+def _strike(chi: float) -> float:
+    """chi as a float; ValueError unless it is positive and finite."""
+    chi = float(chi)
+    if not 0.0 < chi < math.inf:
+        raise ValueError(f"moneyness must be positive and finite, got {chi}")
+    return chi
+
+
+def _per_path(sample: McSample, fill: Callable[..., None],
+              n_out: int = 1) -> List[np.ndarray]:
+    """``n_out`` per-path arrays ys, filled on the worker pool by
+    ``fill(L[part], *(y[part] for y in ys))`` for each slice ``part`` of
+    ``_CHUNK`` paths."""
+    L = sample.log_returns
+    ys = [np.empty(L.size) for _ in range(n_out)]
+
+    def run(start: int) -> None:
+        part = slice(start, start + _CHUNK)
+        fill(L[part], *(y[part] for y in ys))
+
+    _map(run, range(0, L.size, _CHUNK))
+    return ys
+
+
 def _mean_se(y: np.ndarray) -> McEstimate:
+    """Mean and standard error of y, equal bit for bit to y.mean() and
+    y.std(ddof=1) / sqrt(n): the same pairwise sums, with the deviations
+    squared in y itself, which this overwrites."""
     n = y.size
-    return McEstimate(float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)))
+    mean = y.mean()
+    np.subtract(y, mean, out=y)
+    np.square(y, out=y)
+    return McEstimate(float(mean), math.sqrt(y.sum() / (n - 1)) / math.sqrt(n))
+
+
+def martingale_from_sample(sample: McSample) -> McEstimate:
+    """mean(e^L), which is 1 under the MMM."""
+    return _mean_se(*_per_path(sample, np.exp))
 
 
 def i1_from_sample(sample: McSample, chi: float) -> McEstimate:
-    s = np.exp(sample.log_returns)
-    return _mean_se(np.where(s > chi, s, 0.0))
+    chi = _strike(chi)
+
+    def fill(l, y):
+        np.exp(l, out=y)
+        # s * (s > chi): s or +0.0, as np.where(s > chi, s, 0.0) for any
+        # s = e^L >= 0, without a branch per path
+        np.multiply(y, y > chi, out=y)
+
+    return _mean_se(*_per_path(sample, fill))
 
 
 def tail_upper_from_sample(sample: McSample, chi: float) -> McEstimate:
-    ind = (sample.log_returns >= math.log(chi)).astype(float)
-    return _mean_se(ind)
+    log_chi = math.log(_strike(chi))
+
+    def fill(l, y):
+        np.greater_equal(l, log_chi, out=y)
+
+    return _mean_se(*_per_path(sample, fill))
 
 
 def price_from_sample(sample: McSample, chi: float) -> McEstimate:
     """Call price at unit spot and strike chi."""
-    s = np.exp(sample.log_returns)
-    return _mean_se(np.maximum(s - chi, 0.0))
+    chi = _strike(chi)
+
+    def fill(l, y):
+        np.exp(l, out=y)
+        y -= chi
+        np.maximum(y, 0.0, out=y)
+
+    return _mean_se(*_per_path(sample, fill))
 
 
 def _i2_nodes(measure) -> Tuple[np.ndarray, np.ndarray]:
@@ -240,6 +305,41 @@ def _suffix_sums(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_index(xs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``q -> np.searchsorted(xs, q, side="right")`` for sorted nodes xs,
+    exactly, in O(1) per key that is not NaN.
+
+    The bin of a key, b(q) = floor((q - xs[0]) * _BINS / span) clipped to
+    [0, _BINS - 1] and computed in floating point, is non-decreasing in q,
+    because every rounded step is.  So a node with b(x) < b(q) lies below q
+    and one with b(x) > b(q) above it: the count of nodes <= q is at least
+    first[b(q)] = #{x : b(x) < b(q)} and at most first[b(q) + 1].  Starting
+    from first[b(q)], each pass adds 1 while the next node is <= q, and as
+    many passes as the fullest bin has nodes reach the count.  A NaN past
+    the last node stops the passes there for every key, +inf included.
+    """
+    lo = xs[0]
+    scale = _BINS / (xs[-1] - lo)
+
+    def bins(q: np.ndarray) -> np.ndarray:
+        t = (q - lo) * scale
+        np.clip(t, 0.0, _BINS - 1, out=t)
+        return t.astype(np.intp)
+
+    first = np.zeros(_BINS + 1, dtype=np.intp)
+    np.cumsum(np.bincount(bins(xs), minlength=_BINS), out=first[1:])
+    passes = int(np.diff(first).max())
+    xs_pad = np.append(xs, np.nan)
+
+    def index(q: np.ndarray) -> np.ndarray:
+        k = first[bins(q)]
+        for _ in range(passes):
+            k += xs_pad[k] <= q
+        return k
+
+    return index
+
+
 def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimate:
     """I2 estimate: outer x-integral by fixed Gauss-Legendre quadrature over
     the path-averaged payoff difference, common random numbers across nodes.
@@ -252,16 +352,17 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
 
     where A(t) and B(t) are the sums of coef_j e^{x_j} and coef_j over the
     nodes with x_j > t, and C is the sum of all coef_j.  With the nodes
-    sorted once, A and B are suffix sums read at one ``searchsorted`` index
-    per path, so the cost is O(n log m) for n paths and m nodes and the
-    memory O(n); no n-by-m payoff matrix is formed.
+    sorted once, A and B are suffix sums read at the index of t_i among the
+    nodes, which ``_node_index`` finds in O(1) per path from a table of
+    ``_BINS`` uniform bins; the cost is O(n + m) for n paths and m nodes
+    and the memory O(n); no n-by-m payoff matrix is formed.
 
     Y_i makes the standard error exact in the path dimension; the
     x-quadrature error is estimated by dropping to every other node (the
-    half rule, with its own suffix sums) and reported separately.  The
-    per-path pass fills both Y arrays in chunks of ``_CHUNK`` paths on the
-    worker pool; the means are then taken over the whole arrays.
+    half rule, with its own suffix sums) and reported separately.
     """
+    chi = _strike(chi)
+    log_chi = math.log(chi)
     measure = model.measure
     if measure.is_zero:
         return McI2Estimate(0.0, 0.0, 0.0)
@@ -273,22 +374,21 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
     order = np.argsort(xs)
     xs, coef, coef_h = xs[order], coef[order], coef_h[order]
     ex = np.exp(xs)
-    sums = [(_suffix_sums(c * ex), _suffix_sums(c)) for c in (coef, coef_h)]
-    L = sample.log_returns
-    log_chi = math.log(chi)
-    y_full, y_half = np.empty(L.size), np.empty(L.size)
+    rules = []
+    for c in (coef, coef_h):
+        b = _suffix_sums(c)
+        rules.append((_suffix_sums(c * ex), chi * b, b[0]))   # A, chi B, C
+    index = _node_index(xs)
 
-    def aggregate(start: int) -> None:
-        part = slice(start, start + _CHUNK)
-        k = np.searchsorted(xs, log_chi - L[part], side="right")
-        s = np.exp(L[part])
+    def aggregate(l, y_full, y_half):
+        k = index(log_chi - l)
+        s = np.exp(l)
         itm = np.maximum(s - chi, 0.0)
-        for y, (a, b) in zip((y_full[part], y_half[part]), sums):
+        for y, (a, chi_b, c_all) in zip((y_full, y_half), rules):
             np.multiply(s, a[k], out=y)
-            y -= chi * b[k]
-            y -= b[0] * itm
+            y -= chi_b[k]
+            y -= c_all * itm
 
-    _map(aggregate, range(0, L.size, _CHUNK))
+    y_full, y_half = _per_path(sample, aggregate, 2)
     est = _mean_se(y_full)
-    x_err = abs(float(y_full.mean() - y_half.mean()))
-    return McI2Estimate(est.value, est.se, x_err)
+    return McI2Estimate(est.value, est.se, abs(est.value - float(y_half.mean())))

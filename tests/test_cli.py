@@ -307,6 +307,75 @@ def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
     assert counts == {"calls": 1, "i1": 2, "tail": 2, "price": 2, "i2": 2}
 
 
+NEAR_LATTICE_INI = """
+[model]
+family = merton
+sigma = 0.01
+gamma = 5
+m = 0.5
+delta = 0.01
+
+[horizon]
+maturity = 5
+valuation_time = 0
+
+[strikes]
+chis = 0.5 1 2
+
+[mc]
+n_paths = 20000
+"""
+
+
+def test_verify_reports_strikes_the_engine_refuses(tmp_path, capsys,
+                                                   monkeypatch):
+    # near-lattice jumps at tau = 5: the engine refuses every transform at
+    # every strike (error estimates 60-350 against the limit 1e-5), so
+    # verify reports each strike as sweep does and draws no paths
+    from levyhedge import oracle_mc
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("verify drew paths with every strike refused")
+
+    monkeypatch.setattr(oracle_mc, "simulate_log_returns", no_paths)
+    ini = tmp_path / "refused.ini"
+    ini.write_text(NEAR_LATTICE_INI)
+    assert main(["verify", "--config", str(ini)]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    rows = [ln for ln in out.splitlines()[2:-1]]
+    assert len(rows) == 15 and all(ln.endswith(" FAIL") for ln in rows)
+    assert out.splitlines()[-1] == "verify: BAND VIOLATIONS"
+    lines = err.splitlines()
+    assert [ln.split(": ")[1] for ln in lines] == ["chi=0.5", "chi=1.0", "chi=2.0"]
+    assert all(ln.startswith("verify: chi=") and ": AccuracyError: " in ln
+               and "exceeds the accuracy limit" in ln for ln in lines)
+
+
+def test_verify_checks_the_strikes_beside_a_refused_one(
+        merton_mmm, phi_merton, cfg, monkeypatch):
+    from levyhedge import cli
+    from levyhedge.levy_core import AccuracyError
+    real = cli.transform_batch
+
+    def refuse_first(kinds, phi, chis, *args, **kwargs):
+        out = real(kinds, phi, chis, *args, **kwargs)
+        out["price"] = (AccuracyError("price refused"),) + out["price"][1:]
+        return out
+
+    mcfg = McConfig(n_paths=20_000, seed=1, horizon=phi_merton.horizon)
+    want, ok = verify_report(merton_mmm, phi_merton, [0.95, 1.05], cfg, mcfg)
+    assert ok
+    monkeypatch.setattr(cli, "transform_batch", refuse_first)
+    rows, ok = verify_report(merton_mmm, phi_merton, [0.95, 1.05], cfg, mcfg)
+    assert not ok
+    assert [r["quantity"] for r in rows] == [r["quantity"] for r in want]
+    refused = [r for r in rows if r["chi"] == 0.95]
+    assert all(r["error"] == "AccuracyError: price refused"
+               and np.isnan(r["z"]) for r in refused)
+    kept = [r for r in rows if r["chi"] != 0.95]
+    assert kept == [r for r in want if r["chi"] != 0.95]
+
+
 def test_verify_negative_control_fails(bs_mmm):
     # mis-specified characteristic function: drift off by 2 vol points
     from levyhedge import CharFn, mmm_cumulant

@@ -8,12 +8,17 @@ import pytest
 
 from levyhedge import LevyModel, ZeroMeasure, call_price, oracle_mc, to_mmm, transform
 from levyhedge.benchmarks import HORIZON
+from levyhedge.models import VgMeasure
 from levyhedge.oracle_mc import (
     McConfig,
+    McEstimate,
     McSample,
     _i2_nodes,
+    _mean_se,
+    _node_index,
     i1_from_sample,
     i2_from_sample,
+    martingale_from_sample,
     price_from_sample,
     simulate_log_returns,
     tail_upper_from_sample,
@@ -100,6 +105,36 @@ def test_mc_i1_far_otm_vanishes(merton_mmm):
     assert est.value == 0.0
 
 
+def test_martingale_estimate_is_mean_of_exp(merton_mmm):
+    s = simulate_log_returns(merton_mmm, FAST)
+    eL = np.exp(s.log_returns)
+    est = martingale_from_sample(s)
+    assert est == McEstimate(float(eL.mean()),
+                             float(eL.std(ddof=1) / math.sqrt(eL.size)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 65_537, 200_003])
+def test_mean_se_matches_numpy_bit_for_bit(n):
+    # the in-place deviations must give numpy's mean and std(ddof=1) exactly
+    rng = np.random.default_rng(n)
+    for y in (rng.standard_normal(n) * 1e-3 + 1.0, rng.random(n) < 0.3,
+              np.exp(rng.standard_normal(n))):
+        y = np.asarray(y, dtype=float)
+        want = McEstimate(float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)))
+        assert _mean_se(y.copy()) == want
+
+
+@pytest.mark.parametrize("chi", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_estimators_refuse_strikes_that_are_not_positive_and_finite(
+        merton_mmm, chi):
+    s = simulate_log_returns(merton_mmm, McConfig(n_paths=10_000, seed=1,
+                                                  horizon=HORIZON))
+    for estimate in (i1_from_sample, tail_upper_from_sample, price_from_sample,
+                     lambda smp, c: i2_from_sample(merton_mmm, smp, c)):
+        with pytest.raises(ValueError, match="moneyness"):
+            estimate(s, chi)
+
+
 def test_mc_i2_zero_measure():
     model = to_mmm(LevyModel(mu=-0.02, sigma=0.2, measure=ZeroMeasure()))
     s = simulate_log_returns(model, FAST)
@@ -148,11 +183,30 @@ def test_i2_suffix_sums_match_dense_estimator(family, request):
             assert abs(got - want) <= 1e-15 + 1e-12 * abs(want), (chi, got, want)
 
 
+@pytest.mark.parametrize("family", ["merton_mmm", "vg_mmm", "wide_vg"])
+def test_node_index_equals_searchsorted(family, request):
+    # wide_vg spans 921 in x, so its fullest bin holds 15 nodes and the
+    # index takes 15 passes; both benchmark sets take one
+    measure = (VgMeasure(0.5, 0.05, 4.1) if family == "wide_vg"
+               else request.getfixturevalue(family).measure)
+    xs = np.sort(_i2_nodes(measure)[0])
+    rng = np.random.default_rng(3)
+    span = xs[-1] - xs[0]
+    keys = np.concatenate([
+        xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+        [-np.inf, -1e300, xs[0] - span, xs[-1] + span, 1e300, np.inf],
+        rng.uniform(xs[0] - 0.1 * span, xs[-1] + 0.1 * span, 100_000),
+        xs[rng.integers(xs.size, size=1000)] + rng.normal(0, 1e-12, 1000),
+    ])
+    assert np.array_equal(_node_index(xs)(keys),
+                          np.searchsorted(xs, keys, side="right"))
+
+
 @pytest.mark.parametrize("family", ["bs_mmm", "merton_mmm", "vg_mmm"])
 def test_one_worker_matches_the_pool(family, request, monkeypatch):
     # a path count that is a multiple of neither the substream count nor
-    # the I2 chunk, so the last substream and the last chunk are ragged;
-    # the pool gets 3 workers whatever the CPU count of the host
+    # the estimators' chunk, so the last substream and the last chunk are
+    # ragged; the pool gets 3 workers whatever the CPU count of the host
     model = request.getfixturevalue(family)
     mcfg = McConfig(n_paths=100_003, seed=29, horizon=HORIZON)
     assert mcfg.n_paths % oracle_mc._N_BATCHES and mcfg.n_paths % oracle_mc._CHUNK
@@ -162,7 +216,13 @@ def test_one_worker_matches_the_pool(family, request, monkeypatch):
         monkeypatch.setattr(oracle_mc, "_WORKERS", workers)
         monkeypatch.setattr(oracle_mc, "_POOL", None)
         sample = simulate_log_returns(model, mcfg)
-        return sample.log_returns, [i2_from_sample(model, sample, c) for c in chis]
+        estimates = [martingale_from_sample(sample)]
+        for c in chis:
+            estimates += [i2_from_sample(model, sample, c),
+                          i1_from_sample(sample, c),
+                          tail_upper_from_sample(sample, c),
+                          price_from_sample(sample, c)]
+        return sample.log_returns, estimates
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)      # interleave the workers as much as possible
@@ -187,6 +247,25 @@ def test_i2_memory_is_linear_in_paths(vg_mmm):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_other_estimators_hold_one_path_length_array(vg_mmm):
+    # each fills one per-path array and squares its deviations in place;
+    # a copy of e^L, a mask or numpy's std temporary would each add one
+    sample = simulate_log_returns(vg_mmm, McConfig(n_paths=200_000, seed=2,
+                                                   horizon=HORIZON))
+    array_bytes = sample.log_returns.nbytes
+    for estimate in (martingale_from_sample,
+                     lambda s: i1_from_sample(s, 1.0),
+                     lambda s: tail_upper_from_sample(s, 1.0),
+                     lambda s: price_from_sample(s, 1.0)):
+        tracemalloc.start()
+        try:
+            estimate(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * array_bytes
 
 
 # ---------------------------------------------------------------------------
