@@ -6,7 +6,6 @@ error bounds, Monte Carlo cross-validation, and quote calibration."""
 from .levy_core import (
     AccuracyError,
     AssumptionError,
-    LevyIntegrabilityError,
     LevyMeasure,
     LevyModel,
     MmmModel,

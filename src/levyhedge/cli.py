@@ -33,7 +33,6 @@ from . import hedging, oracle_mc
 from .fourier import FourierConfig, char_fn, transform_batch
 from .levy_core import (
     AssumptionError,
-    LevyIntegrabilityError,
     LevyModel,
     MmmModel,
     StripError,
@@ -126,8 +125,9 @@ def _parse_chis(cp: configparser.ConfigParser, spot: float) -> Tuple[float, ...]
         chis = tuple(float(k) / spot for k in strikes)
     if not chis:
         raise ConfigError("strike grid is empty")
-    if any(c <= 0 for c in chis) or any(b <= a for a, b in zip(chis, chis[1:])):
-        raise ConfigError("moneyness grid must be positive and ascending")
+    if (any(not 0.0 < c < math.inf for c in chis)
+            or any(b <= a for a, b in zip(chis, chis[1:]))):
+        raise ConfigError("moneyness grid must be positive, finite and ascending")
     return chis
 
 
@@ -383,8 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_verify(rc)
         if args.command == "calibrate":
             return cmd_calibrate(args.config, args.quotes, args.family, args.out)
-    except (ConfigError, configparser.Error, AssumptionError,
-            LevyIntegrabilityError, StripError) as exc:
+    except (ConfigError, configparser.Error, AssumptionError, StripError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

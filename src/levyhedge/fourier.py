@@ -335,13 +335,8 @@ def transform(kind: str, phi: CharFn, chi: float, cfg: FourierConfig,
     """Reference (adaptive-quadrature) evaluation of one transform at one
     moneyness.  A value or error estimate that is not finite, or an error
     estimate above the accuracy limit, raises AccuracyError."""
-    if chi <= 0:
-        raise ValueError(f"moneyness must be > 0, got {chi}")
+    _moneyness(chi)
     _check_strip(phi, cfg.alpha)
-
-    if kind == "i2" and model is not None and model.measure.is_zero:
-        return FourierResult(0.0, 0.0, ())
-
     a, flags, k = cfg.alpha, [], math.log(chi)
     psi = _make_psi(kind, phi, a, model)
     head, err_h = _segment(psi, k, 0.0, _V_MAX, flags, "head")
@@ -674,6 +669,15 @@ def _tails(kind: str, phi: CharFn, model: Optional[MmmModel], alpha: float,
     return value, err
 
 
+def _moneyness(chis) -> np.ndarray:
+    """chis as a float array; ValueError unless each is positive and
+    finite."""
+    chis = np.asarray(chis, dtype=float)
+    if not ((chis > 0.0) & (chis < math.inf)).all():
+        raise ValueError(f"moneyness must be positive and finite, got {chis}")
+    return chis
+
+
 def _check_strip(phi: CharFn, alpha: float) -> None:
     """StripError unless the damping line Im(z) = -alpha lies inside the
     strip of phi."""
@@ -695,13 +699,12 @@ def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
     entry is the FourierResult of one moneyness, checked as ``transform``
     checks its result, or the AccuracyError that moneyness raised (for a
     value or error estimate that is not finite or an error estimate above
-    the accuracy limit).  err_est is the prefactor times the sum over
+    the accuracy limit).  A moneyness that is not positive and finite
+    raises ValueError.  err_est is the prefactor times the sum over
     panels of |32-node - 16-node|, plus a rounding budget and the size of
     the last asymptote term.
     """
-    chis = np.asarray(chis, dtype=float)
-    if np.any(chis <= 0):
-        raise ValueError("moneyness must be > 0")
+    chis = _moneyness(chis)
     for kind in kinds:
         _check_kind(kind, model)
     a = cfg.alpha
@@ -714,9 +717,6 @@ def transform_batch(kinds: Sequence[str], phi: CharFn, chis: Sequence[float],
     phases: Dict[str, np.ndarray] = {}
     out: Dict[str, Tuple[Union[FourierResult, AccuracyError], ...]] = {}
     for kind in kinds:
-        if kind == "i2" and model.measure.is_zero:
-            out[kind] = (FourierResult(0.0, 0.0, ()),) * k.size
-            continue
         value, err, _ = nodes.integrate(kind, samples, k, phi, model, phases)
         out[kind] = tuple(_checked(kind, float(c), float(v), float(e))
                           for c, v, e in zip(chis, value, err))
@@ -746,8 +746,9 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     may pass the same ``cache`` dict each time: it keeps the nodes and
     e^{-ivk} while they stay valid.  A price is checked by ``_clamped``'s
     rule at err 0: one that is not finite or below -_CLAMP_TOL raises
-    AccuracyError, and a smaller negative one becomes 0.  A spot or strike
-    that is not positive raises ValueError.
+    AccuracyError, and a smaller negative one becomes 0.  A spot that is
+    not positive, or a moneyness that is not positive and finite, raises
+    ValueError.
 
     With ``dpsi``, a map from z and the base moments (g(w), g(w + 1)) at
     w = iz that ``mmm_cumulant`` computed for Psi to the derivatives of Psi
@@ -758,11 +759,12 @@ def call_prices(model: MmmModel, spot: float, expiries: Sequence[float],
     the prices, which stay bit-identical.  The derivatives leave out the
     closed-form asymptote past the last contour node.
     """
-    if not (spot > 0 and all(np.all(np.asarray(s) > 0) for s in strikes)):
-        raise ValueError("spot and strikes must be positive")
+    if not spot > 0:
+        raise ValueError(f"spot must be positive, got {spot}")
+    logs = [np.log(_moneyness(np.asarray(s, dtype=float) / spot))
+            for s in strikes]
     phis = [_char_fn(model, tau) for tau in expiries]
     _check_martingale(model, max(expiries))
-    logs = [np.log(np.asarray(s, dtype=float) / spot) for s in strikes]
     a = cfg.alpha
     _check_strip(phis[0], a)
     ranges = [_node_range(p, a) for p in phis]

@@ -26,7 +26,7 @@ from .fourier import (
     theorem4_condition_integral,
     transform_batch,
 )
-from .levy_core import AccuracyError, LevyIntegrabilityError, MmmModel, StripError
+from .levy_core import AccuracyError, MmmModel
 
 __all__ = [
     "StrategyPoint",
@@ -78,11 +78,7 @@ def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
     except AccuracyError:
         return None
     g = model.measure.exp_moment
-    try:
-        brace_moment = (g(4.0, "pos") - 2.0 * g(3.0, "pos") + g(2.0, "pos")).real
-    except StripError as exc:
-        raise LevyIntegrabilityError(
-            f"the e^{{2x}} (e^x-1)^2 moment diverges: {exc}") from exc
+    brace_moment = (g(4.0, "pos") - 2.0 * g(3.0, "pos") + g(2.0, "pos")).real
     brace = model.c2_minus + brace_moment
     return (math.sqrt(5.0) / (2.0 * math.pi * (model.sigma**2 + model.c2))
             * condition.total * brace)
@@ -138,17 +134,10 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
     point cannot sink a batch run.
     """
     chis = [float(c) for c in chis]
-    if any(c <= 0 for c in chis):
-        raise ValueError("all moneyness values must be positive")
     if any(b <= a for a, b in zip(chis, chis[1:])):
         raise ValueError("moneyness grid must be strictly ascending")
 
-    t4_const: Optional[float]
-    try:
-        t4_const = bound_t4_constant(model, phi)
-    except LevyIntegrabilityError:
-        t4_const = None
-
+    t4_const = bound_t4_constant(model, phi)
     batch = transform_batch(KINDS, phi, chis, cfg, model)
     points = []
     for i, chi in enumerate(chis):

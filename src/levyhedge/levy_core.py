@@ -19,7 +19,6 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "LevyIntegrabilityError",
     "AssumptionError",
     "StripError",
     "AccuracyError",
@@ -32,10 +31,6 @@ __all__ = [
     "to_mmm",
     "mmm_cumulant",
 ]
-
-
-class LevyIntegrabilityError(ValueError):
-    """A required moment integral of the Levy measure diverges."""
 
 
 class AssumptionError(ValueError):
@@ -98,7 +93,9 @@ class LevyMeasure(ABC):
     estimator and the quadrature oracle of the tests.
     """
 
-    #: admissible open interval for Re(w) in exp_moment(w); +-inf if entire
+    #: admissible open interval for Re(w) in exp_moment(w); +-inf if entire.
+    #: A model's measure has w_hi > 4 (``LevyModel`` refuses the others):
+    #: C2+ and the large-moneyness bound need e^{4x} moments on x > 0
     w_lo: float = -math.inf
     w_hi: float = math.inf
 
@@ -114,10 +111,6 @@ class LevyMeasure(ABC):
         multiplying the density, so panels can extend far enough into the
         right tail.
         """
-
-    @property
-    def is_zero(self) -> bool:
-        return False
 
     def _check_w(self, w) -> None:
         re = w.real
@@ -144,25 +137,9 @@ class LevyMeasure(ABC):
         """Integral of x nu(dx)."""
         return self.x_exp_moment(0.0)
 
-    def exp_power_moment(self, n: int, region: str = "all") -> float:
-        """Integral of (e^x - 1)^n nu(dx) via the binomial expansion."""
-        val = 0.0 + 0.0j
-        for j in range(1, n + 1):
-            val += math.comb(n, j) * (-1.0) ** (n - j) * self.exp_moment(float(j), region)
-        return float(val.real)
-
-    def validate(self) -> None:
-        """Check the measure's integrability conditions; the closed forms
-        of a measure hold them for every parameter it accepts, unless it
-        says otherwise here."""
-
 
 class ZeroMeasure(LevyMeasure):
     """No jumps (Black-Scholes component only)."""
-
-    @property
-    def is_zero(self) -> bool:
-        return True
 
     def density(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -188,7 +165,8 @@ class LevyModel:
 
     mu     -- drift of the log-price exponent (per unit time)
     sigma  -- Brownian volatility, >= 0
-    measure-- Levy measure of the jumps
+    measure-- Levy measure of the jumps; w_hi <= 4 raises ValueError, so
+              every moment the library takes of it is finite
     """
 
     mu: float
@@ -198,9 +176,10 @@ class LevyModel:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    def validate(self) -> None:
-        self.measure.validate()
+        if not self.measure.w_hi > 4.0:
+            raise ValueError(
+                "the Levy measure needs exponential moments up to e^{4x} on "
+                f"x > 0, got the strip bound w_hi = {self.measure.w_hi}")
 
 
 @dataclass(frozen=True)
@@ -238,16 +217,6 @@ class MmmModel:
         """Jump tilt theta_x = beta * (e^x - 1); < 1 on the support of nu."""
         return self.beta * (np.exp(x) - 1.0)
 
-    def exp_moment_star(self, w, check: bool = True, moments: bool = False):
-        """Integral of (e^{wx} - 1) nu*(dx), assembled from base-measure
-        moments g as g(w) - beta (g(w + 1) - g(w) - g(1)): two evaluations
-        of g per call, since g(1) is the model's ``exp_moment_1``.  With
-        ``moments``, the triple (integral, g(w), g(w + 1))."""
-        g = self.measure.exp_moment
-        gw, gw1 = g(w, check=check), g(w + 1.0, check=check)
-        star = gw - self.beta * (gw1 - gw - self.exp_moment_1)
-        return (star, gw, gw1) if moments else star
-
     def strip(self) -> Tuple[float, float]:
         """Open interval of valid Im(z) for the MMM cumulant."""
         # exp_moment is evaluated at iz and iz+1, and Re(iz) = -Im(z)
@@ -257,32 +226,26 @@ class MmmModel:
 def compute_mu_s(model: LevyModel) -> float:
     """Drift rate mu_s = mu + sigma^2/2 + integral of (e^x - 1 - x) nu(dx)."""
     nu = model.measure
-    try:
-        jump_part = float(complex(nu.exp_moment(1.0)).real) - nu.mean_jump()
-    except StripError as exc:
-        raise LevyIntegrabilityError(
-            f"the first exponential jump moment (e^x - 1) diverges: {exc}") from exc
+    jump_part = float(complex(nu.exp_moment(1.0)).real) - nu.mean_jump()
     return model.mu + 0.5 * model.sigma**2 + jump_part
 
 
 def c2_split(model: LevyModel) -> Tuple[float, float]:
-    """(C2+, C2-): integrals of (e^x - 1)^2 nu(dx) over x>0 and x<0."""
-    nu = model.measure
-    try:
-        c2p = nu.exp_power_moment(2, "pos")
-        c2m = nu.exp_power_moment(2, "neg")
-    except StripError as exc:
-        raise LevyIntegrabilityError(
-            f"the squared exponential jump moment (e^x - 1)^2 diverges: {exc}") from exc
+    """(C2+, C2-): integrals of (e^x - 1)^2 nu(dx) over x>0 and x<0, as
+    g(2) - 2 g(1) in the one-sided moments g.  AssumptionError if one is
+    below -1e-12 (a faulty closed form); roundoff above it becomes 0."""
+    g = model.measure.exp_moment
+    c2p, c2m = (float((g(2.0, r) - 2.0 * g(1.0, r)).real) for r in ("pos", "neg"))
     if c2p < -1e-12 or c2m < -1e-12:
-        raise LevyIntegrabilityError(f"negative squared moment: {c2p}, {c2m}")
+        raise AssumptionError(f"negative squared moment: {c2p}, {c2m}")
     return max(c2p, 0.0), max(c2m, 0.0)
 
 
 def to_mmm(model: LevyModel) -> MmmModel:
     """Build the minimal-martingale-measure dynamics for ``model``.
 
-    Validates the integrability conditions and the drift constraint
+    The moments it needs exist for every model (``LevyModel`` refuses a
+    measure with w_hi <= 4).  Checks the drift constraint
     0 >= mu_s > -(sigma^2 + C2) eagerly (this is what keeps theta_x < 1; it
     refuses every drift of the deterministic model, sigma = 0 and nu = 0),
     then assembles the Girsanov-tilted Levy triplet:
@@ -294,7 +257,6 @@ def to_mmm(model: LevyModel) -> MmmModel:
     The martingale identity Psi*(-i) = 0 holds by construction and is the
     acceptance check for this transform.
     """
-    model.validate()
     nu = model.measure
     mu_s = compute_mu_s(model)
     g1 = nu.exp_moment(1.0)
@@ -324,19 +286,22 @@ def mmm_cumulant(model: MmmModel, z, check_strip: bool = True,
 
     Psi*(z) = i z b* - sigma^2 z^2 / 2 + integral of
     (e^{izx} - 1 - izx) nu*(dx).  The jump integral is assembled from the
-    base measure's closed-form exponential moments.  Accepts scalar or
+    base measure's closed-form exponential moments g at w = iz, as
+    g(w) - beta (g(w + 1) - g(w) - g(1)) - w m1*: two evaluations of g per
+    call, since g(1) is the model's ``exp_moment_1``.  Accepts scalar or
     array ``z``; ``check_strip=False`` evaluates their analytic
     continuation (used internally for contour tails).  ``moments`` returns
     (Psi*(z), g(w), g(w + 1)), the base moments at w = iz for reuse.
     """
     z = _complex(z)
-    if check_strip and not model.measure.is_zero:
+    if check_strip:
         lo, hi = model.strip()
         if not _within(z.imag, lo, hi):
             raise StripError(
                 f"Im(z)={z.imag} outside the cumulant strip ({lo}, {hi})")
     iz = 1j * z
-    star = model.exp_moment_star(iz, check=check_strip, moments=True)
-    jump = star[0] - iz * model.m1_star
+    g = model.measure.exp_moment
+    gw, gw1 = g(iz, check=check_strip), g(iz + 1.0, check=check_strip)
+    jump = gw - model.beta * (gw1 - gw - model.exp_moment_1) - iz * model.m1_star
     psi = iz * model.drift_star - 0.5 * model.sigma**2 * z * z + jump
-    return (psi,) + star[1:] if moments else psi
+    return (psi, gw, gw1) if moments else psi

@@ -231,10 +231,6 @@ class VgMeasure(LevyMeasure):
     def mean_jump(self) -> float:
         return self.c * (1.0 / self.m_big - 1.0 / self.g)
 
-    def validate(self) -> None:
-        if self.m_big <= 4.0:
-            raise ValueError(f"M must exceed 4, got {self.m_big}")
-
 
 # ---------------------------------------------------------------------------
 # Model builders and the operations the rest of the library calls

@@ -46,7 +46,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .fourier import _panel_rule
+from .fourier import _moneyness, _panel_rule
 from .levy_core import MmmModel, ZeroMeasure
 from .models import MertonMeasure, VgMeasure
 
@@ -213,14 +213,6 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _strike(chi: float) -> float:
-    """chi as a float; ValueError unless it is positive and finite."""
-    chi = float(chi)
-    if not 0.0 < chi < math.inf:
-        raise ValueError(f"moneyness must be positive and finite, got {chi}")
-    return chi
-
-
 def _per_path(sample: McSample, fill: Callable[..., None],
               n_out: int = 1) -> List[np.ndarray]:
     """``n_out`` per-path arrays ys, filled on the worker pool by
@@ -254,7 +246,7 @@ def martingale_from_sample(sample: McSample) -> McEstimate:
 
 
 def i1_from_sample(sample: McSample, chi: float) -> McEstimate:
-    chi = _strike(chi)
+    chi = float(_moneyness(chi))
 
     def fill(l, y):
         np.exp(l, out=y)
@@ -266,7 +258,7 @@ def i1_from_sample(sample: McSample, chi: float) -> McEstimate:
 
 
 def tail_upper_from_sample(sample: McSample, chi: float) -> McEstimate:
-    log_chi = math.log(_strike(chi))
+    log_chi = math.log(_moneyness(chi))
 
     def fill(l, y):
         np.greater_equal(l, log_chi, out=y)
@@ -276,7 +268,7 @@ def tail_upper_from_sample(sample: McSample, chi: float) -> McEstimate:
 
 def price_from_sample(sample: McSample, chi: float) -> McEstimate:
     """Call price at unit spot and strike chi."""
-    chi = _strike(chi)
+    chi = float(_moneyness(chi))
 
     def fill(l, y):
         np.exp(l, out=y)
@@ -361,10 +353,10 @@ def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimat
     x-quadrature error is estimated by dropping to every other node (the
     half rule, with its own suffix sums) and reported separately.
     """
-    chi = _strike(chi)
+    chi = float(_moneyness(chi))
     log_chi = math.log(chi)
     measure = model.measure
-    if measure.is_zero:
+    if isinstance(measure, ZeroMeasure):
         return McI2Estimate(0.0, 0.0, 0.0)
     xs, ws = _i2_nodes(measure)
     coef = ws * (np.exp(xs) - 1.0) * measure.density(xs)   # full rule

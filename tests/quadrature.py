@@ -8,10 +8,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from levyhedge import LevyIntegrabilityError, StripError
+from levyhedge import StripError
 
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-10
+
+
+class QuadratureDivergence(ValueError):
+    """A moment integral of the Levy density diverges under quadrature."""
 
 
 def quad_exp_moment(measure, w: complex, region: str = "all") -> complex:
@@ -31,7 +35,7 @@ def quad_exp_moment(measure, w: complex, region: str = "all") -> complex:
                  complex_func=True, limit=200)
         val += r[0]
     if not np.isfinite(val):
-        raise LevyIntegrabilityError(
+        raise QuadratureDivergence(
             f"exp_moment diverged at w={w} over region '{region}'")
     return val
 
@@ -58,17 +62,17 @@ def validate(measure) -> None:
             v = sum(math.comb(n, j) * (-1.0) ** (n - j)
                     * quad_exp_moment(measure, float(j)) for j in range(1, n + 1))
             if not np.isfinite(v):
-                raise LevyIntegrabilityError(
+                raise QuadratureDivergence(
                     f"exponential jump moment (e^x-1)^{n} diverges")
     except StripError as exc:
-        raise LevyIntegrabilityError(
+        raise QuadratureDivergence(
             f"exponential jump moment outside admissible strip: {exc}") from exc
     m_abs = 0.0
     for a, b in measure.quad_panels():
         m_abs += quad(lambda x: np.maximum(np.abs(x), x * x) * measure.density(x),
                       a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)[0]
     if not np.isfinite(m_abs):
-        raise LevyIntegrabilityError("moment integral (|x| v x^2) diverges")
+        raise QuadratureDivergence("moment integral (|x| v x^2) diverges")
 
 
 def nu_star_density(model, x):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyhedge import FourierConfig, to_mmm
+import levyhedge
+from levyhedge import FourierConfig, cli, to_mmm
 from levyhedge.benchmarks import SPOT
 from levyhedge.calibration import Quote, QuoteSet, write_quotes
 from levyhedge.cli import (
@@ -141,6 +144,38 @@ def test_non_positive_spot_is_config_error(tmp_path, capsys, spot):
     ini.write_text(MERTON_INI.replace("spot = 2102.4", f"spot = {spot}"))
     assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
     assert "spot must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chis", ["1 inf", "1 nan", "0.5 1e400"])
+def test_non_finite_strike_is_config_error(tmp_path, capsys, chis):
+    # refused with one error line before any model is built, where inf
+    # overflowed the engine's panel sizing and nan became a failed point
+    ini = tmp_path / "chis.ini"
+    ini.write_text(VG_INI.replace("chis = 0.95 1.0 1.05", f"chis = {chis}"))
+    assert main(["sweep", "--config", str(ini)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: moneyness grid must be positive, finite and ascending"]
+
+
+def test_exported_failures_are_the_three_typed_ones(monkeypatch, capsys):
+    # the library's typed failures are exactly StripError, AssumptionError
+    # and AccuracyError; the CLI reports the first two as configuration
+    # errors (an AccuracyError is a failed point, exit 1)
+    modules = [levyhedge] + [importlib.import_module(f"levyhedge.{m.name}")
+                             for m in pkgutil.iter_modules(levyhedge.__path__)]
+    exported = {name for mod in modules
+                for name in getattr(mod, "__all__", dir(mod))
+                if isinstance(getattr(mod, name), type)
+                and issubclass(getattr(mod, name), BaseException)}
+    assert exported == {"StripError", "AssumptionError", "AccuracyError"}
+    for exc in (levyhedge.StripError, levyhedge.AssumptionError):
+        def refuse(*args, **kwargs):
+            raise exc("refused")
+        monkeypatch.setattr(cli, "load_run_config", refuse)
+        assert main(["sweep", "--config", "run.ini"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_infeasible_drift_is_config_error(tmp_path):

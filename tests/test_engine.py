@@ -37,6 +37,14 @@ def _batch(phi, chis, mmm, alpha=1.75):
     return res
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_batch_refuses_moneyness_not_positive_and_finite(merton_mmm,
+                                                          phi_merton, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        transform_batch(KINDS, phi_merton, [1.0, bad], FourierConfig(),
+                        model=merton_mmm)
+
+
 @pytest.mark.parametrize("family", ["merton", "vg"])
 @pytest.mark.parametrize("tau", TAUS, ids=["1d", "0.0096", "0.05", "1y", "5y"])
 def test_engine_matches_transform(family, tau, request, cfg):

@@ -70,9 +70,17 @@ def test_i1_and_tail_monotone_and_bounded(phi_vg, cfg):
         assert all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))
 
 
-def test_i2_zero_measure(bs_mmm, phi_bs, cfg):
-    for chi in (0.5, 1.0, 2.0):
-        assert value("i2", phi_bs, chi, cfg, model=bs_mmm) == 0.0
+def test_i2_zero_measure(bs_mmm, cfg):
+    # without jumps the i2 factor g(w + 1) - g(w) - g(1) is 0 at every
+    # node, so both evaluators return +0.0 with no error and no flag
+    chis = (0.5, 1.0, 2.0)
+    for tau in (1.0 / 365.0, HORIZON, 5.0):
+        phi = char_fn(bs_mmm, tau)
+        (batch,) = transform_batch(("i2",), phi, chis, cfg, bs_mmm).values()
+        oracle = [transform("i2", phi, chi, cfg, model=bs_mmm) for chi in chis]
+        for res in list(batch) + oracle:
+            assert (res.value, math.copysign(1.0, res.value)) == (0.0, 1.0)
+            assert res.err_est == 0.0 and res.flags == ()
 
 
 def test_i2_nonnegative(vg_mmm, phi_vg, merton_mmm, phi_merton, cfg):
@@ -190,7 +198,8 @@ def test_call_prices_refuses_a_nan_cumulant(merton_mmm, cfg, monkeypatch):
 
 @pytest.mark.parametrize("spot, strike", [(100.0, 0.0), (100.0, -90.0),
                                           (0.0, 90.0), (-100.0, 90.0),
-                                          (100.0, math.nan)])
+                                          (100.0, math.nan),
+                                          (100.0, math.inf)])
 def test_call_prices_refuses_non_positive_inputs(merton_mmm, cfg, spot,
                                                  strike):
     # as call_price and transform_batch refuse them, before any node is built

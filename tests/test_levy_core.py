@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from levyhedge import (
     AssumptionError,
-    LevyIntegrabilityError,
     LevyModel,
     StripError,
     ZeroMeasure,
@@ -58,11 +57,12 @@ def test_mu_s_merton_closed_form_vs_quadrature(merton_params):
     assert got == pytest.approx(p.mu + 0.5 * p.sigma**2 + oracle, rel=1e-11)
 
 
-def test_mu_s_integrability_failure_names_moment():
-    # M = 0.5: the strip excludes w = 1, i.e. E[e^x - 1] diverges
-    model = LevyModel(mu=0.0, sigma=0.1, measure=VgMeasure(1.0, 5.0, 0.5))
-    with pytest.raises(LevyIntegrabilityError, match="exponential jump moment"):
-        compute_mu_s(model)
+@pytest.mark.parametrize("m_big", [0.5, 3.5, 4.0])
+def test_model_refuses_measure_without_fourth_exponential_moment(m_big):
+    # M <= 4: e^{4x} is not nu-integrable on x > 0, so C2+ (M <= 2), mu_s
+    # (M <= 1) or the large-moneyness brace (M <= 4) diverges
+    with pytest.raises(ValueError, match=f"moments up to .* w_hi = {m_big}$"):
+        LevyModel(mu=0.0, sigma=0.1, measure=VgMeasure(1.0, 5.0, m_big))
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,17 @@ def test_mu_s_integrability_failure_names_moment():
 
 def test_c2_split_zero_measure():
     assert c2_split(bs_model()) == (0.0, 0.0)
+
+
+def test_c2_split_refuses_negative_squared_moment():
+    # a closed form whose (e^x - 1)^2 moment comes out negative is a fault,
+    # reported as the typed AssumptionError the CLI maps to exit 2
+    class Faulty(ZeroMeasure):
+        def exp_moment(self, w, region="all", check=True):
+            return -complex(w) ** 2
+
+    with pytest.raises(AssumptionError, match="negative squared moment"):
+        c2_split(LevyModel(mu=0.0, sigma=0.2, measure=Faulty()))
 
 
 def test_c2_split_merton_against_quadrature(merton_params):
@@ -171,8 +182,8 @@ def test_cumulant_strip_violation(vg_mmm):
 
 
 @pytest.mark.parametrize("family", ["merton", "vg"])
-def test_exp_moment_star_evaluates_two_base_moments(family, request):
-    # g(w) once and g(w + 1); g(1) is a constant of the model
+def test_cumulant_evaluates_two_base_moments(family, request):
+    # g(w) once and g(w + 1) at w = iz; g(1) is a constant of the model
     mmm = to_mmm(build_model(request.getfixturevalue(f"{family}_params")))
     base = mmm.measure.exp_moment
     calls = []
@@ -182,13 +193,10 @@ def test_exp_moment_star_evaluates_two_base_moments(family, request):
         return base(w, *args, **kwargs)
 
     mmm.measure.exp_moment = counted
-    for w in (0.5 + 3j, np.array([1.2 - 4j, 0.3 + 50j, -2.0])):
+    for z in (3.0 - 0.5j, np.linspace(-5.0, 5.0, 7) - 1.75j):
         calls.clear()
-        mmm.exp_moment_star(w)
+        mmm_cumulant(mmm, z)
         assert len(calls) == 2
-    calls.clear()
-    mmm_cumulant(mmm, np.linspace(-5.0, 5.0, 7) - 1.75j)
-    assert len(calls) == 2
 
 
 def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
@@ -241,15 +249,15 @@ def test_closed_form_moments_match_quadrature(family, request):
         quad_x_exp_moment(measure, 1.0), rel=1e-9)
     assert measure.mean_jump() == pytest.approx(
         quad_x_exp_moment(measure, 0.0), rel=1e-9)
-    measure.validate()
     validate(measure)
 
 
 @pytest.mark.parametrize("m_big", [3.5, 4.5])
 def test_vg_validate_agrees_with_quadrature(m_big):
-    # the closed-form check M > 4 is the (e^x - 1)^4 moment's strip
+    # the model's check w_hi = M > 4 is the (e^x - 1)^4 moment's strip
     measure = VgMeasure(1.0, 5.0, m_big)
-    for check in (measure.validate, lambda: validate(measure)):
+    for check in (lambda: LevyModel(mu=0.0, sigma=0.0, measure=measure),
+                  lambda: validate(measure)):
         if m_big > 4.0:
             check()
         else:
