@@ -32,6 +32,7 @@ from . import calibration as cal
 from . import hedging, oracle_mc
 from .fourier import FourierConfig, char_fn, transform_batch
 from .levy_core import (
+    AccuracyError,
     AssumptionError,
     LevyModel,
     MmmModel,
@@ -157,8 +158,9 @@ def load_run_config(path, seed_override: Optional[int] = None,
         family, model = _read_model(cp["model"])
         maturity = cp.getfloat("horizon", "maturity", fallback=1.0)
         valuation = cp.getfloat("horizon", "valuation_time", fallback=0.95)
-        if not (0.0 <= valuation < maturity):
-            raise ConfigError("need 0 <= valuation_time < maturity")
+        if not (0.0 <= valuation < maturity < math.inf):
+            raise ConfigError("need 0 <= valuation_time < maturity, "
+                              "both finite")
         chis = _parse_chis(cp, spot)
         fourier = _read_fourier(cp)
         n_paths = cp.getint("mc", "n_paths", fallback=1_000_000)
@@ -386,6 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, configparser.Error, AssumptionError, StripError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except AccuracyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_CONFIG
 
 

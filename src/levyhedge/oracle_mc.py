@@ -10,8 +10,13 @@ with standard errors.  Sampling is exact for both shipped model families:
   weights.
 * Variance gamma: (1 - theta_x) nu(dx) splits the same way into two VG
   measures, (1+beta) VG(C, G, M) and -beta VG(C, G+1, M-1), and each VG law
-  at horizon tau is a difference of two gamma variates, so L_tau is an
-  exact four-gamma sum.
+  at horizon tau is a pair Gamma(a)/r - Gamma(a)/q of one shape a = C tau.
+  Each pair is a Brownian motion on a gamma clock (Madan, Carr & Chang,
+  1998): theta V + s sqrt(V) Z with V ~ Gamma(a), theta = 1/r - 1/q and
+  s^2 = 2/(rq), because (1 - u/r)(1 + u/q) = 1 - theta u - s^2 u^2 / 2
+  equates their moment generating functions.  Given both clocks the two
+  Gaussian pieces are one Gaussian, so a path takes two gamma variates and
+  one normal (one gamma when beta = 0).
 
 Randomness comes from a counter-based Philox generator split into a fixed
 number of substreams, each filling its own slice of the sample.  Every
@@ -183,24 +188,27 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
                                     weights=sizes_j, minlength=nb)
             out[start:start + nb] = (drift + model.sigma * math.sqrt(tau) * z + jumps)
     elif isinstance(measure, VgMeasure):
-        method = "exact-tilted-gamma-difference"
+        method = "exact-tilted-gamma-clock"
         c, g_, mb = measure.c, measure.g, measure.m_big
         beta = model.beta
-        c1 = c * (1.0 + beta)
-        c2 = -c * beta
         drift = (model.drift_star - model.m1_star) * tau
         if model.sigma != 0.0:
             raise NotImplementedError("VG sampling assumes a pure-jump model")
+        # (shape, theta, s^2) of each pair Gamma(a)/r - Gamma(a)/q with a
+        # positive shape: a Brownian motion with drift theta and variance
+        # s^2 run on the gamma clock V ~ Gamma(a)
+        pairs = [(a * tau, 1.0 / r - 1.0 / q, 2.0 / (r * q))
+                 for a, r, q in ((c * (1.0 + beta), mb, g_),
+                                 (-c * beta, mb - 1.0, g_ + 1.0)) if a > 0]
 
         def draw(rng, nb, start):
-            j = np.zeros(nb)
-            if c1 > 0:
-                j += rng.standard_gamma(c1 * tau, nb) / mb
-                j -= rng.standard_gamma(c1 * tau, nb) / g_
-            if c2 > 0:
-                j += rng.standard_gamma(c2 * tau, nb) / (mb - 1.0)
-                j -= rng.standard_gamma(c2 * tau, nb) / (g_ + 1.0)
-            out[start:start + nb] = drift + j
+            clocks = [rng.standard_gamma(shape, nb) for shape, _, _ in pairs]
+            o = out[start:start + nb]
+            rng.standard_normal(nb, out=o)
+            o *= np.sqrt(sum(s2 * v for v, (_, _, s2) in zip(clocks, pairs)))
+            o += drift
+            for v, (_, theta, _) in zip(clocks, pairs):
+                o += theta * v
     else:
         raise NotImplementedError(
             f"no exact MMM sampler for measure type {type(measure).__name__}")
@@ -245,14 +253,23 @@ def martingale_from_sample(sample: McSample) -> McEstimate:
     return _mean_se(*_per_path(sample, np.exp))
 
 
+def _halve_ties(l: np.ndarray, log_chi: float, y: np.ndarray) -> None:
+    """Halve y where L = log chi: a tie counts 1/2 in a step at the strike,
+    the midpoint that Fourier inversion gives at a jump of the law."""
+    tie = l == log_chi
+    if tie.any():
+        y[tie] *= 0.5
+
+
 def i1_from_sample(sample: McSample, chi: float) -> McEstimate:
-    chi = float(_moneyness(chi))
+    log_chi = math.log(_moneyness(chi))
 
     def fill(l, y):
         np.exp(l, out=y)
-        # s * (s > chi): s or +0.0, as np.where(s > chi, s, 0.0) for any
-        # s = e^L >= 0, without a branch per path
-        np.multiply(y, y > chi, out=y)
+        # e^L or +0.0 without a branch per path; the step is taken on L,
+        # since e^L rounds to exactly 1.0 for 0 < L < 1.1e-16
+        np.multiply(y, l >= log_chi, out=y)
+        _halve_ties(l, log_chi, y)
 
     return _mean_se(*_per_path(sample, fill))
 
@@ -262,6 +279,7 @@ def tail_upper_from_sample(sample: McSample, chi: float) -> McEstimate:
 
     def fill(l, y):
         np.greater_equal(l, log_chi, out=y)
+        _halve_ties(l, log_chi, y)
 
     return _mean_se(*_per_path(sample, fill))
 

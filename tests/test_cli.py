@@ -159,10 +159,26 @@ def test_non_finite_strike_is_config_error(tmp_path, capsys, chis):
         "error: moneyness grid must be positive, finite and ascending"]
 
 
+@pytest.mark.parametrize("verb", ["sweep", "verify"])
+@pytest.mark.parametrize("maturity, code", [("inf", EXIT_CONFIG),
+                                            ("1e300", EXIT_FAIL)])
+def test_huge_or_infinite_horizon_is_one_error_line(tmp_path, capsys, verb,
+                                                    maturity, code):
+    # an infinite maturity is refused with the config; a finite but huge
+    # one breaks phi's martingale check, an AccuracyError that main reports
+    # as a failure instead of a traceback
+    ini = tmp_path / "horizon.ini"
+    ini.write_text(MERTON_INI.replace("maturity = 1.0", f"maturity = {maturity}"))
+    assert main([verb, "--config", str(ini)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_exported_failures_are_the_three_typed_ones(monkeypatch, capsys):
     # the library's typed failures are exactly StripError, AssumptionError
     # and AccuracyError; the CLI reports the first two as configuration
-    # errors (an AccuracyError is a failed point, exit 1)
+    # errors (an AccuracyError is a failed point, or exit 1 with one error
+    # line where it escapes a verb)
     modules = [levyhedge] + [importlib.import_module(f"levyhedge.{m.name}")
                              for m in pkgutil.iter_modules(levyhedge.__path__)]
     exported = {name for mod in modules

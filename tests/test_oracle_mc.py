@@ -6,9 +6,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levyhedge import LevyModel, ZeroMeasure, call_price, oracle_mc, to_mmm, transform
-from levyhedge.benchmarks import HORIZON
-from levyhedge.models import VgMeasure
+from scipy.stats import ks_2samp
+
+from levyhedge import (
+    FourierConfig,
+    LevyModel,
+    ZeroMeasure,
+    c2_split,
+    call_price,
+    char_fn,
+    compute_mu_s,
+    oracle_mc,
+    to_mmm,
+    transform,
+    transform_batch,
+)
+from levyhedge.benchmarks import HORIZON, vg_benchmark
+from levyhedge.models import VgMeasure, VgParams, vg_model
 from levyhedge.oracle_mc import (
     McConfig,
     McEstimate,
@@ -23,6 +37,7 @@ from levyhedge.oracle_mc import (
     simulate_log_returns,
     tail_upper_from_sample,
 )
+from mc_reference import four_gamma_log_returns, vg_drift, vg_variance
 from quadrature import nu_star_density
 
 FAST = McConfig(n_paths=200_000, seed=11, horizon=HORIZON)
@@ -59,7 +74,7 @@ def test_merton_sample_martingale(merton_mmm):
 
 def test_vg_sample_martingale(vg_mmm):
     s = simulate_log_returns(vg_mmm, FAST)
-    assert s.method == "exact-tilted-gamma-difference"
+    assert s.method == "exact-tilted-gamma-clock"
     assert abs(_martingale_z(s)) <= 3.0
 
 
@@ -71,6 +86,80 @@ def test_vg_sample_matches_physical_moments(vg_mmm):
     var_star = sum(quad(lambda x: x * x * nu_star_density(vg_mmm, x), a, b,
                         limit=200)[0] for a, b in [(-3, 0), (0, 3)])
     assert s.log_returns.var() == pytest.approx(HORIZON * var_star, rel=0.02)
+
+
+HEAVY_VG = VgParams(0.5, 5.0, 7.0)
+
+
+@pytest.mark.parametrize("tau", [1.0 / 365.0, 0.05, 1.0], ids=["1d", "0.05", "1y"])
+@pytest.mark.parametrize("params", [vg_benchmark(), HEAVY_VG],
+                         ids=["benchmark", "heavy"])
+def test_vg_sample_matches_the_four_gamma_reference(params, tau):
+    # the gamma-clock draw against tests/mc_reference.py's four-gamma sum,
+    # 2e5 paths each.  At one day the gamma shapes are as small as 6.8e-4,
+    # standard_gamma returns exactly 0.0 for most draws, and the two
+    # schemes put different shares of paths exactly on the drift, so the
+    # law is compared away from that atom (KS) and the atom's mass apart
+    model = to_mmm(vg_model(params))
+    n = 200_000
+    new = simulate_log_returns(model, McConfig(n_paths=n, seed=1,
+                                               horizon=tau)).log_returns
+    ref = four_gamma_log_returns(model, tau, n, seed=2)
+    drift = vg_drift(model, tau)
+    atoms = [np.abs(L - drift) <= 1e-15 for L in (new, ref)]
+    assert ks_2samp(new[~atoms[0]], ref[~atoms[1]]).pvalue > 1e-3
+    p_new, p_ref = (a.mean() for a in atoms)
+    pooled = 0.5 * (p_new + p_ref)
+    assert abs(p_new - p_ref) <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+    var = vg_variance(model, tau)
+    for L in (new, ref):
+        dev2 = (L - L.mean())**2
+        assert abs(dev2.mean() - var) <= 3.0 * dev2.std() / math.sqrt(n)
+
+
+class _CountingStream:
+    """A substream that records the name and shape of each draw."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._log.append((name, args[0] if name == "standard_gamma" else None))
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("share", [0.5, 0.0], ids=["tilted", "beta0"])
+def test_vg_draw_takes_two_gamma_clocks_and_one_normal(share, monkeypatch):
+    # per substream: Gamma(c1 tau), then Gamma(c2 tau), then one normal;
+    # at beta = 0 (mu_s = 0) the second pair has shape 0 and is skipped
+    p = vg_benchmark()
+    jumps = VgMeasure(p.c_par, p.g_par, p.m_par)
+    probe = LevyModel(mu=0.0, sigma=0.0, measure=jumps)
+    mu = -compute_mu_s(probe) - share * sum(c2_split(probe))
+    model = to_mmm(LevyModel(mu=mu, sigma=0.0, measure=jumps))
+    assert (model.beta == 0.0) == (share == 0.0)
+    logs = []
+    substreams = oracle_mc._substreams
+
+    def counting(seed):
+        streams = substreams(seed)
+        logs.extend([] for _ in streams)
+        return [_CountingStream(rng, log) for rng, log in zip(streams, logs)]
+
+    monkeypatch.setattr(oracle_mc, "_substreams", counting)
+    simulate_log_returns(model, FAST)
+    c, tau = jumps.c, FAST.horizon
+    want = [("standard_gamma", c * (1.0 + model.beta) * tau)]
+    if model.beta != 0.0:
+        want.append(("standard_gamma", -c * model.beta * tau))
+    want.append(("standard_normal", None))
+    assert len(logs) == oracle_mc._N_BATCHES
+    assert all(log == want for log in logs)
 
 
 def test_seed_determinism(vg_mmm):
@@ -286,6 +375,23 @@ def test_fourier_inside_mc_bands(merton_mmm, phi_merton, vg_mmm, phi_vg,
         e2 = i2_from_sample(mmm, s, chi)
         v2 = transform("i2", phi, chi, cfg, model=mmm).value
         assert abs(v2 - e2.value) <= 3.0 * e2.se + e2.x_quad_err
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0 / 365.0], ids=["0.05", "1d"])
+def test_step_estimates_at_a_strike_on_the_carrier(tau):
+    # VG (0.5, 5, 7) has drift 0, so chi = 1 sits on the carrier.  At 0.05
+    # a fifth of the paths lie within 1e-15 of 0, where e^L rounds to 1.0,
+    # so the step must be taken on L; at one day a third sit exactly on
+    # L = 0, an atom that must count 1/2, not 1
+    model = to_mmm(vg_model(HEAVY_VG))
+    phi = char_fn(model, tau)
+    assert phi.carrier == 0.0
+    sample = simulate_log_returns(model, McConfig(n_paths=1_000_000, seed=7,
+                                                  horizon=tau))
+    res = transform_batch(("i1", "tail"), phi, [1.0], FourierConfig(), model=model)
+    for kind, est in (("i1", i1_from_sample(sample, 1.0)),
+                      ("tail", tail_upper_from_sample(sample, 1.0))):
+        assert abs(res[kind][0].value - est.value) <= 3.0 * est.se, kind
 
 
 def test_negative_control_wrong_drift_breaks_martingale(merton_mmm):
