@@ -58,8 +58,10 @@ class Quote:
     mid: float
 
     def __post_init__(self):
-        if self.expiry <= 0 or self.strike <= 0 or self.mid <= 0:
-            raise ValueError(f"quote fields must be positive: {self}")
+        for name in ("expiry", "strike", "mid"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"quote {name} must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,10 @@ class QuoteSet:
     valuation_date: Optional[date] = None
 
     def __post_init__(self):
-        if self.spot <= 0:
-            raise ValueError("spot must be positive")
+        if not 0 < self.spot < math.inf:
+            raise ValueError(f"spot must be positive and finite, got {self.spot}")
         if not self.quotes:
             raise ValueError("quote set is empty")
-
-    def expiries(self) -> List[float]:
-        return sorted({q.expiry for q in self.quotes})
 
 
 @dataclass(frozen=True)

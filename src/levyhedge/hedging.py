@@ -71,37 +71,31 @@ def bound_t4_constant(model: MmmModel, phi: CharFn) -> Optional[float]:
         sqrt(5) / (2 pi (sigma^2 + C2)) * integral |phi(v-2i)|/(1+v) dv
             * [ C2- + integral_0^inf e^{2x} (e^x - 1)^2 nu(dx) ]
 
-    Returns None when the condition integral misses its accuracy limit.
+    with the bracket ``model.t4_brace``, set by ``to_mmm``.  Returns None
+    when the condition integral misses its accuracy limit.
     """
     try:
         condition = theorem4_condition_integral(phi)
     except AccuracyError:
         return None
-    g = model.measure.exp_moment
-    brace_moment = (g(4.0, "pos") - 2.0 * g(3.0, "pos") + g(2.0, "pos")).real
-    brace = model.c2_minus + brace_moment
     return (math.sqrt(5.0) / (2.0 * math.pi * (model.sigma**2 + model.c2))
-            * condition.total * brace)
+            * condition.total * model.t4_brace)
 
 
-def strategy_point(model: MmmModel, phi: CharFn, chi: float,
-                   cfg: FourierConfig, t4_const: Optional[float],
-                   transforms: Optional[Mapping[str, FourierResult]] = None
-                   ) -> StrategyPoint:
-    """LRM, Delta, their distance and both bounds at one moneyness; the one
+def strategy_point(model: MmmModel, chi: float,
+                   transforms: Mapping[str, FourierResult],
+                   t4_const: Optional[float]) -> StrategyPoint:
+    """LRM, Delta, their distance and both bounds at one moneyness, from
+    this point's entries of ``transform_batch`` for KINDS (``sweep`` passes
+    them from its one batch call) and the constants of ``model``; the one
     place they are assembled.  The small-moneyness bound is
 
         chi * [ (1 - p_low) C2- + p_low C2+ ] / (sigma^2 + C2),
 
     with p_low = p*((-inf, log chi]); the large-moneyness bound is
     t4_const / chi, absent when ``t4_const`` (see bound_t4_constant) is None.
-    ``transforms`` holds this point's entries of ``transform_batch`` for
-    KINDS (``sweep`` passes them from its one batch call); left out, they
-    are computed here.  An entry that is an exception is raised.
+    An entry of ``transforms`` that is an exception is raised.
     """
-    if transforms is None:
-        transforms = {kind: res[0] for kind, res in
-                      transform_batch(KINDS, phi, [chi], cfg, model).items()}
     for kind in KINDS:
         if isinstance(transforms[kind], Exception):
             raise transforms[kind]
@@ -143,8 +137,7 @@ def sweep(model: MmmModel, phi: CharFn, chis: Sequence[float],
     for i, chi in enumerate(chis):
         try:
             points.append(strategy_point(
-                model, phi, chi, cfg, t4_const,
-                {kind: batch[kind][i] for kind in KINDS}))
+                model, chi, {kind: batch[kind][i] for kind in KINDS}, t4_const))
         except Exception as exc:  # collected, not fail-fast
             points.append(StrategyPoint(
                 chi=chi, i1=math.nan, i2=math.nan, lrm=math.nan,

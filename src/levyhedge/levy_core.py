@@ -88,7 +88,8 @@ class LevyMeasure(ABC):
     """Jump measure nu on R \\ {0}.
 
     The operations below are the only integrals the rest of the library
-    needs, and every measure gives its exponential moments in closed form;
+    needs, and every measure gives its exponential moments in closed form,
+    over the line (``exp_moment``) and each half-line (``split_moment``);
     the density and its quadrature panels serve the Monte Carlo I2
     estimator and the quadrature oracle of the tests.
     """
@@ -120,14 +121,19 @@ class LevyMeasure(ABC):
             )
 
     @abstractmethod
-    def exp_moment(self, w, region: str = "all", check: bool = True):
-        """Integral of (e^{wx} - 1) nu(dx) over the region ('all'|'pos'|'neg').
+    def exp_moment(self, w, check: bool = True):
+        """Integral of (e^{wx} - 1) nu(dx) over the whole line.
 
         The -1 makes the integrand O(x) at the origin, which keeps
         infinite-activity measures (density ~ 1/|x|) integrable.  Accepts
         scalar or array ``w``.  ``check=False`` skips the strip guard and
         evaluates the analytic continuation of the closed form.
         """
+
+    @abstractmethod
+    def split_moment(self, w: float) -> Tuple[float, float]:
+        """(pos, neg): the integrals of (e^{wx} - 1) nu(dx) over x > 0 and
+        over x < 0, at a real w in the strip."""
 
     @abstractmethod
     def x_exp_moment(self, w: float = 1.0) -> float:
@@ -147,9 +153,12 @@ class ZeroMeasure(LevyMeasure):
     def quad_panels(self, w_re: float = 0.0):
         return []
 
-    def exp_moment(self, w, region: str = "all", check: bool = True):
+    def exp_moment(self, w, check: bool = True):
         w = _complex(w)
         return np.zeros(w.shape, dtype=complex) if isinstance(w, np.ndarray) else 0j
+
+    def split_moment(self, w: float) -> Tuple[float, float]:
+        return 0.0, 0.0
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return 0.0
@@ -163,8 +172,8 @@ class ZeroMeasure(LevyMeasure):
 class LevyModel:
     """Exponential Levy model under the physical measure.
 
-    mu     -- drift of the log-price exponent (per unit time)
-    sigma  -- Brownian volatility, >= 0
+    mu     -- drift of the log-price exponent (per unit time), finite
+    sigma  -- Brownian volatility, finite and >= 0
     measure-- Levy measure of the jumps; w_hi <= 4 raises ValueError, so
               every moment the library takes of it is finite
     """
@@ -174,6 +183,9 @@ class LevyModel:
     measure: LevyMeasure
 
     def __post_init__(self):
+        for name in ("sigma", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not self.measure.w_hi > 4.0:
@@ -190,8 +202,9 @@ class MmmModel:
     mu_s (risky-asset drift rate), xi (Brownian Girsanov tilt),
     beta = mu_s / (sigma^2 + C2) (so theta_x = beta * (e^x - 1)),
     the exponential jump moments C2 = C2+ + C2-, the MMM log-price drift
-    drift_star, m1_star = integral of x nu*(dx), and exp_moment_1 =
-    integral of (e^x - 1) nu(dx), the base moment at w = 1.
+    drift_star, m1_star = integral of x nu*(dx), exp_moment_1 =
+    integral of (e^x - 1) nu(dx), the base moment at w = 1, and t4_brace =
+    C2- + integral_0^inf e^{2x} (e^x - 1)^2 nu(dx), of the T4 bound.
     """
 
     base: LevyModel
@@ -204,6 +217,7 @@ class MmmModel:
     drift_star: float
     m1_star: float
     exp_moment_1: complex
+    t4_brace: float
 
     @property
     def sigma(self) -> float:
@@ -232,10 +246,10 @@ def compute_mu_s(model: LevyModel) -> float:
 
 def c2_split(model: LevyModel) -> Tuple[float, float]:
     """(C2+, C2-): integrals of (e^x - 1)^2 nu(dx) over x>0 and x<0, as
-    g(2) - 2 g(1) in the one-sided moments g.  AssumptionError if one is
-    below -1e-12 (a faulty closed form); roundoff above it becomes 0."""
-    g = model.measure.exp_moment
-    c2p, c2m = (float((g(2.0, r) - 2.0 * g(1.0, r)).real) for r in ("pos", "neg"))
+    g(2) - 2 g(1) in g = split_moment.  AssumptionError if one is below
+    -1e-12 (a faulty closed form); roundoff above it becomes 0."""
+    (p2, n2), (p1, n1) = (model.measure.split_moment(w) for w in (2.0, 1.0))
+    c2p, c2m = p2 - 2.0 * p1, n2 - 2.0 * n1
     if c2p < -1e-12 or c2m < -1e-12:
         raise AssumptionError(f"negative squared moment: {c2p}, {c2m}")
     return max(c2p, 0.0), max(c2m, 0.0)
@@ -254,8 +268,9 @@ def to_mmm(model: LevyModel) -> MmmModel:
         nu*(dx) = (1 - theta_x) nu(dx)
         b*      = mu - sigma*xi - integral of x theta_x nu(dx)
 
-    The martingale identity Psi*(-i) = 0 holds by construction and is the
-    acceptance check for this transform.
+    with C2+- and t4_brace from ``split_moment``.  The martingale identity
+    Psi*(-i) = 0 holds by construction and is the acceptance check for
+    this transform.
     """
     nu = model.measure
     mu_s = compute_mu_s(model)
@@ -275,9 +290,11 @@ def to_mmm(model: LevyModel) -> MmmModel:
     xexp1 = nu.x_exp_moment(1.0)
     drift_star = model.mu - model.sigma * xi - beta * (xexp1 - m1)
     m1_star = m1 - beta * (xexp1 - m1)
+    p2, p3, p4 = (nu.split_moment(w)[0] for w in (2.0, 3.0, 4.0))
     return MmmModel(base=model, mu_s=mu_s, xi=xi, beta=beta, c2=c2,
                     c2_plus=c2p, c2_minus=c2m, drift_star=drift_star,
-                    m1_star=m1_star, exp_moment_1=g1)
+                    m1_star=m1_star, exp_moment_1=g1,
+                    t4_brace=c2m + (p4 - 2.0 * p3 + p2))
 
 
 def mmm_cumulant(model: MmmModel, z, check_strip: bool = True,

@@ -1,9 +1,9 @@
 """Merton jump-diffusion and variance-gamma models.
 
 Both ship closed forms for every Levy-measure moment the library needs
-(exponential moments, one-sided second moments, x-weighted moments), so the
-MMM cumulants assembled in levy_core are closed-form too.  Each closed form
-is gated behind an equality-with-quadrature test.
+(exponential moments over the line and each half-line, x-weighted
+moments), so the MMM cumulants assembled in levy_core are closed-form too.
+Each closed form is gated behind an equality-with-quadrature test.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _as_floats(record) -> None:
-    # plain Python floats, so a record never prints as np.float64(...)
+    # finite plain Python floats, so a record never prints as np.float64(...)
     for f in fields(record):
-        object.__setattr__(record, f.name, float(getattr(record, f.name)))
+        value = float(getattr(record, f.name))
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        object.__setattr__(record, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,9 @@ class VgParams:
 
 def vg_from_kappa(kappa: float, m: float, delta: float) -> VgParams:
     """(kappa, m, delta) -> (C, G, M) for the gamma-subordinated Brownian form."""
+    for name, value in (("kappa", kappa), ("m", m), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if kappa <= 0 or delta <= 0:
         raise ValueError("kappa and delta must be positive")
     root = math.sqrt(m * m + 2.0 * delta * delta / kappa) / (delta * delta)
@@ -128,23 +134,16 @@ class MertonMeasure(LevyMeasure):
         r = abs(self.m) + abs(w_re) * self.delta**2 + 14.0 * self.delta
         return [(-r, 0.0), (0.0, r)]
 
-    def exp_moment(self, w, region: str = "all", check: bool = True):
-        w = _complex(w)
+    def exp_moment(self, w, check: bool = True):
+        return self.gamma * (_gauss_emoment(self.m, self.delta, _complex(w)) - 1.0)
+
+    def split_moment(self, w: float) -> Tuple[float, float]:
+        # one-sided Gaussian exponential moments via the normal CDF
         g, m, d = self.gamma, self.m, self.delta
-        if region == "all":
-            return g * (_gauss_emoment(m, d, w) - 1.0)
-        if region not in ("pos", "neg"):
-            raise ValueError(f"unknown region {region!r}")
-        # one-sided Gaussian exponential moments via the normal CDF, which
-        # is complex off the real axis; a real w keeps the real CDF, whose
-        # last bits the model constants carry
-        if not np.any(w.imag):
-            w = w.real
+        e = _gauss_emoment(m, d, w)
         up = ndtr((m + w * d * d) / d)      # mass of e^{wx} * N over x > 0
         p_pos = ndtr(m / d)
-        if region == "pos":
-            return _complex(g * (_gauss_emoment(m, d, w) * up - p_pos))
-        return _complex(g * (_gauss_emoment(m, d, w) * (1.0 - up) - (1.0 - p_pos)))
+        return float(g * (e * up - p_pos)), float(g * (e * (1.0 - up) - (1.0 - p_pos)))
 
     def tilted(self, beta: float) -> Tuple[float, float]:
         """The jump measure under the tilt theta_x = beta (e^x - 1),
@@ -160,9 +159,6 @@ class MertonMeasure(LevyMeasure):
 
     def x_exp_moment(self, w: float = 1.0) -> float:
         return self.gamma * (self.m + w * self.delta**2) * float(_gauss_emoment(self.m, self.delta, w).real)
-
-    def mean_jump(self) -> float:
-        return self.gamma * self.m
 
 
 class VgMeasure(LevyMeasure):
@@ -193,27 +189,29 @@ class VgMeasure(LevyMeasure):
         a_pos = 45.0 / max(decay_pos, 0.5)
         return [(-max(a_neg, 1.5), -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, max(a_pos, 1.5))]
 
-    def exp_moment(self, w, region: str = "all", check: bool = True):
+    def _sides(self, w):
+        # the x > 0 and x < 0 parts of exp_moment(w), as per-factor logs:
+        # branch cuts sit on the real axis outside the strip, so these
+        # continue analytically along off-axis contours
+        c, g, mb = self.c, self.g, self.m_big
+        return c * (math.log(mb) - _log(mb - w)), c * (math.log(g) - _log(g + w))
+
+    def exp_moment(self, w, check: bool = True):
         w = _complex(w)
         if check:
             self._check_w(w)
-        c, g, mb = self.c, self.g, self.m_big
-        # per-factor logs: branch cuts sit on the real axis outside the
-        # strip, so these continue analytically along off-axis contours
-        pos = c * (math.log(mb) - _log(mb - w))
-        neg = c * (math.log(g) - _log(g + w))
-        if region == "pos":
-            out = pos
-        elif region == "neg":
-            out = neg
-        elif region == "all":
-            out = pos + neg
-        else:
-            raise ValueError(f"unknown region {region!r}")
-        return out
+        pos, neg = self._sides(w)
+        return pos + neg
+
+    def split_moment(self, w: float) -> Tuple[float, float]:
+        self._check_w(w)
+        # through exp_moment's complex logs: below 2 the real log differs
+        # from their real part in the last bit, which C2+- carry
+        pos, neg = self._sides(complex(w))
+        return pos.real, neg.real
 
     def exp_moment_grad(self, w, g_w=None) -> np.ndarray:
-        """Derivatives of exp_moment(w) (region "all") along (C, G, M),
+        """Derivatives of exp_moment(w) along (C, G, M),
         stacked on a leading axis of 3; no strip guard.  The C column is
         g(w)/C, read from ``g_w``, exp_moment(w), if the caller has it."""
         w = _complex(w)
@@ -227,9 +225,6 @@ class VgMeasure(LevyMeasure):
     def x_exp_moment(self, w: float = 1.0) -> float:
         self._check_w(complex(w))
         return self.c * (1.0 / (self.m_big - w) - 1.0 / (self.g + w))
-
-    def mean_jump(self) -> float:
-        return self.c * (1.0 / self.m_big - 1.0 / self.g)
 
 
 # ---------------------------------------------------------------------------

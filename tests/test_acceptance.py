@@ -30,7 +30,7 @@ from levyhedge.benchmarks import (
 )
 from levyhedge.calibration import Quote, QuoteSet, calibrate, rmse
 from levyhedge.fourier import call_prices
-from levyhedge.hedging import bound_t4_constant, strategy_point, sweep
+from levyhedge.hedging import bound_t4_constant, sweep
 from levyhedge.models import (
     MertonParams,
     merton_c2_minus,
@@ -175,9 +175,8 @@ def test_criterion_5_small_moneyness_bound(setup):
         margin = min(p.bound_t3 + 10.0 * max(p.err_est, 1e-15) - p.diff
                      for p in pts)
         ok &= margin >= 0.0
-        ratios = np.array([
-            strategy_point(m, phi, 2.0 ** (-j), cfg, t4_const=None).diff
-            / 2.0 ** (-j) for j in range(1, 9)])
+        small = sweep(m, phi, [2.0 ** (-j) for j in range(8, 0, -1)], cfg)
+        ratios = np.array([p.diff / p.chi for p in small[::-1]])
         slope = np.polyfit(np.arange(8), ratios, 1)[0]
         trend_ok = slope <= max(1e-12, 0.01 * ratios.max())
         cap = max(m.c2_minus, m.c2_plus) / (m.sigma**2 + m.c2)
@@ -196,12 +195,10 @@ def test_criterion_6_large_moneyness_bound(setup):
         const = bound_t4_constant(m, phi)
         ok &= const is not None and np.isfinite(const)
         worst = 0.0
-        for j in range(1, 9):
-            chi = 2.0 ** j
-            pt = strategy_point(m, phi, chi, cfg, t4_const=None)
+        for pt in sweep(m, phi, [2.0 ** j for j in range(1, 9)], cfg):
             slack = 10.0 * max(pt.err_est, 1e-15)
-            ok &= pt.diff <= const / chi + slack
-            worst = max(worst, chi * pt.diff)
+            ok &= pt.diff <= const / pt.chi + slack
+            worst = max(worst, pt.chi * pt.diff)
         ok &= worst <= const + 1e-9
         detail.append(f"{key}: const {const:.3g}, max chi*diff {worst:.2e}")
     _report(6, "difference dominated by the large-moneyness bound, O(1/chi) order",

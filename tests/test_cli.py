@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -159,6 +160,54 @@ def test_non_finite_strike_is_config_error(tmp_path, capsys, chis):
         "error: moneyness grid must be positive, finite and ascending"]
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("merton", "sigma", "nan"), ("bs", "sigma", "nan"), ("merton", "m", "nan"),
+    ("merton", "gamma", "inf"), ("vg", "c_par", "inf")])
+def test_non_finite_model_parameter_is_config_error(tmp_path, capsys, family,
+                                                    key, value):
+    # refused where the record is built, in a message naming the field,
+    # not as a drift constraint that a nan mu_s violates
+    ini = {"merton": MERTON_INI, "bs": BS_INI, "vg": VG_INI}[family]
+    path = tmp_path / "model.ini"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", ini,
+                           flags=re.MULTILINE))
+    assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be finite, got {value}" in err
+    assert "drift constraint" not in err
+
+
+CAL_QUOTES = "# spot = 100.0\nexpiry,strike,mid\n0.25,100.0,2.5\n"
+CAL_INI = {"merton": "[calibration]\ninit_sigma = 0.04\ninit_gamma = 0.005\n"
+                     "init_m = -0.07\ninit_delta = 0.09\n",
+           "vg": "[calibration]\ninit_c_par = 7.1\ninit_g_par = 29.0\n"
+                 "init_m_par = 34.5\n"}
+
+
+@pytest.mark.parametrize("family, old, new, field", [
+    ("merton", "init_sigma = 0.04", "init_sigma = nan", "sigma"),
+    ("merton", "init_gamma = 0.005", "init_gamma = inf", "gamma"),
+    ("vg", "init_c_par = 7.1", "init_c_par = nan", "c_par"),
+    ("merton", "spot = 100.0", "spot = nan", "spot"),
+    ("merton", "0.25,100.0,2.5", "0.25,nan,2.5", "strike"),
+    ("merton", "0.25,100.0,2.5", "0.25,100.0,nan", "mid"),
+    ("merton", "0.25,100.0,2.5", "0.25,100.0,inf", "mid"),
+    ("merton", "0.25,100.0,2.5", "inf,100.0,2.5", "expiry")],
+    ids=["init_sigma-nan", "init_gamma-inf", "init_c_par-nan", "spot-nan",
+         "strike-nan", "mid-nan", "mid-inf", "expiry-inf"])
+def test_non_finite_calibration_input_is_config_error(tmp_path, capsys, family,
+                                                      old, new, field):
+    # a non-finite start or quote is a configuration error naming the
+    # field, not a fit whose every start fails to price
+    ini, quotes = tmp_path / "cal.ini", tmp_path / "quotes.csv"
+    ini.write_text(CAL_INI[family].replace(old, new))
+    quotes.write_text(CAL_QUOTES.replace(old, new))
+    assert main(["calibrate", "--config", str(ini), "--quotes", str(quotes),
+                 "--family", family]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{field} must be" in err and "finite" in err
+
+
 @pytest.mark.parametrize("verb", ["sweep", "verify"])
 @pytest.mark.parametrize("maturity, code", [("inf", EXIT_CONFIG),
                                             ("1e300", EXIT_FAIL)])
@@ -277,10 +326,10 @@ def test_sweep_reports_the_message_of_a_failed_point(merton_ini, tmp_path,
     from levyhedge import hedging
     point = hedging.strategy_point
 
-    def failing(model, phi, chi, *args, **kwargs):
+    def failing(model, chi, *args, **kwargs):
         if chi == 2000.0 / 2102.4:
             raise ValueError("no hedge here")
-        return point(model, phi, chi, *args, **kwargs)
+        return point(model, chi, *args, **kwargs)
 
     monkeypatch.setattr(hedging, "strategy_point", failing)
     out = tmp_path / "sweep.csv"

@@ -25,18 +25,17 @@ from levyhedge.models import MertonMeasure
 # ---------------------------------------------------------------------------
 
 def test_black_scholes_lrm_equals_delta(bs_mmm, phi_bs, cfg):
-    for chi in benchmark_chi_grid():
-        pt = strategy_point(bs_mmm, phi_bs, chi, cfg, t4_const=None)
+    for pt in sweep(bs_mmm, phi_bs, benchmark_chi_grid(), cfg):
         assert abs(pt.lrm - pt.delta) <= 1e-9
 
 
 def test_lrm_small_chi_limit(vg_mmm, phi_vg, cfg):
-    pt = strategy_point(vg_mmm, phi_vg, 1e-3, cfg, t4_const=None)
+    (pt,) = sweep(vg_mmm, phi_vg, [1e-3], cfg)
     assert pt.lrm == pytest.approx(1.0, rel=1e-6)
 
 
 def test_delta_is_i1(merton_mmm, phi_merton, cfg):
-    pt = strategy_point(merton_mmm, phi_merton, 1.02, cfg, t4_const=None)
+    (pt,) = sweep(merton_mmm, phi_merton, [1.02], cfg)
     (r1,) = transform_batch(("i1",), phi_merton, [1.02], cfg)["i1"]
     assert pt.delta == r1.value
     assert pt.delta == pytest.approx(
@@ -44,9 +43,8 @@ def test_delta_is_i1(merton_mmm, phi_merton, cfg):
 
 
 def test_lrm_in_unit_interval_on_grid(vg_mmm, phi_vg, cfg):
-    for chi in benchmark_chi_grid()[::3]:
-        val = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None).lrm
-        assert 0.0 <= val <= 1.0 + 1e-12
+    for pt in sweep(vg_mmm, phi_vg, benchmark_chi_grid()[::3], cfg):
+        assert 0.0 <= pt.lrm <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +52,8 @@ def test_lrm_in_unit_interval_on_grid(vg_mmm, phi_vg, cfg):
 # ---------------------------------------------------------------------------
 
 def test_bound_t3_zero_measure(bs_mmm, phi_bs, cfg):
-    assert strategy_point(bs_mmm, phi_bs, 0.9, cfg, t4_const=None).bound_t3 == 0.0
-    assert strategy_point(bs_mmm, phi_bs, 1.3, cfg, t4_const=None).bound_t3 == 0.0
+    points = sweep(bs_mmm, phi_bs, [0.9, 1.3], cfg)
+    assert [pt.bound_t3 for pt in points] == [0.0, 0.0]
 
 
 def test_bound_t3_matches_manual_assembly(vg_mmm, phi_vg, cfg):
@@ -64,7 +62,7 @@ def test_bound_t3_matches_manual_assembly(vg_mmm, phi_vg, cfg):
     s2c2 = vg_mmm.sigma**2 + vg_mmm.c2
     manual = (chi * vg_mmm.c2_minus / s2c2
               + chi * p_low * (vg_mmm.c2_plus - vg_mmm.c2_minus) / s2c2)
-    pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None)
+    (pt,) = sweep(vg_mmm, phi_vg, [chi], cfg)
     assert pt.bound_t3 == pytest.approx(manual, rel=1e-10)
 
 
@@ -72,22 +70,20 @@ def test_bound_t3_small_chi_behaviour(vg_mmm, phi_vg, cfg):
     # p* factor vanishes, leaving chi * C2- / (sigma^2 + C2)
     chi = 1e-4
     lead = chi * vg_mmm.c2_minus / (vg_mmm.sigma**2 + vg_mmm.c2)
-    pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None)
+    (pt,) = sweep(vg_mmm, phi_vg, [chi], cfg)
     assert pt.bound_t3 == pytest.approx(lead, rel=1e-6)
 
 
 def test_bound_t4_zero_measure(bs_mmm, phi_bs, cfg):
-    c = bound_t4_constant(bs_mmm, phi_bs)
-    pt = strategy_point(bs_mmm, phi_bs, 1.1, cfg, t4_const=c)
+    (pt,) = sweep(bs_mmm, phi_bs, [1.1], cfg)
     assert pt.bound_t4 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bound_t4_scales_as_one_over_chi(vg_mmm, phi_vg, cfg):
     c = bound_t4_constant(vg_mmm, phi_vg)
     assert c is not None and c > 0
-    for chi in (0.5, 1.0, 7.0):
-        pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=c)
-        assert pt.bound_t4 == pytest.approx(c / chi, rel=1e-9)
+    for pt in sweep(vg_mmm, phi_vg, [0.5, 1.0, 7.0], cfg):
+        assert pt.bound_t4 == pytest.approx(c / pt.chi, rel=1e-9)
 
 
 def test_bound_t4_absent_when_condition_diverges(pure_jump_merton):
@@ -129,10 +125,14 @@ def test_bounds_dominate_difference_on_grid(merton_mmm, phi_merton,
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_point_matches_individual(vg_mmm, phi_vg, cfg):
-    pt_sweep = sweep(vg_mmm, phi_vg, [1.05], cfg)[0]
-    pt_single = strategy_point(vg_mmm, phi_vg, 1.05, cfg,
-                               t4_const=bound_t4_constant(vg_mmm, phi_vg))
-    assert pt_sweep == pt_single
+    # each point of a sweep is the one assembled from its own moneyness's
+    # entries of one batch call and the sweep's large-moneyness constant
+    chis, kinds = [0.9, 1.05, 1.3], hedging.KINDS
+    batch = transform_batch(kinds, phi_vg, chis, cfg, vg_mmm)
+    t4_const = bound_t4_constant(vg_mmm, phi_vg)
+    assert sweep(vg_mmm, phi_vg, chis, cfg) == [
+        strategy_point(vg_mmm, chi, {k: batch[k][i] for k in kinds}, t4_const)
+        for i, chi in enumerate(chis)]
 
 
 def test_sweep_validates_grid(vg_mmm, phi_vg, cfg):
@@ -192,18 +192,13 @@ def test_vg_differences_exceed_merton(merton_mmm, phi_merton, vg_mmm,
 
 def test_small_chi_order(vg_mmm, phi_vg, cfg):
     # |LRM - Delta| / chi stays bounded as chi -> 0
-    ratios = []
-    for j in range(1, 9):
-        chi = 2.0 ** (-j)
-        pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None)
-        ratios.append(pt.diff / chi)
+    chis = [2.0 ** (-j) for j in range(8, 0, -1)]
+    ratios = [pt.diff / pt.chi for pt in sweep(vg_mmm, phi_vg, chis, cfg)]
     cap = vg_mmm.c2_minus / (vg_mmm.sigma**2 + vg_mmm.c2)
     assert max(ratios) <= cap + 1e-6
 
 
 def test_large_chi_order(vg_mmm, phi_vg, cfg):
     c = bound_t4_constant(vg_mmm, phi_vg)
-    for j in range(1, 9):
-        chi = 2.0 ** j
-        pt = strategy_point(vg_mmm, phi_vg, chi, cfg, t4_const=None)
-        assert chi * pt.diff <= c + 1e-6
+    for pt in sweep(vg_mmm, phi_vg, [2.0 ** j for j in range(1, 9)], cfg):
+        assert pt.chi * pt.diff <= c + 1e-6

@@ -7,9 +7,10 @@ against the strip and one evaluation step finishes every engine
 transform; scipy.integrate serves only the oracle,
 scipy.optimize only the body of ``calibrate``, and the quadrature oracle
 of the Levy-measure moments names none of the closed forms it checks.
-Threads serve only the Monte Carlo oracle: importing the CLI, ``sweep``
-and ``calibrate`` start none, and only ``oracle_mc`` imports a thread
-API."""
+The hedges read no jump measure, and every def of the library is named
+somewhere outside itself.  Threads serve only the Monte Carlo oracle:
+importing the CLI, ``sweep`` and ``calibrate`` start none, and only
+``oracle_mc`` imports a thread API."""
 
 import ast
 import importlib
@@ -299,7 +300,7 @@ def test_optimizer_import_check_detects_each_form():
 # what the quadrature oracle of tests/quadrature.py checks, so it may not
 # name any of it
 CLOSED_FORMS = ("exp_moment", "exp_moment_star", "mmm_cumulant",
-                "x_exp_moment")
+                "split_moment", "x_exp_moment")
 
 
 def _closed_form_references(source: str):
@@ -326,6 +327,112 @@ def test_closed_form_reference_check_detects_each_form():
     assert _closed_form_references(src) == [
         ("oracle", "mmm_cumulant", 3), ("moment", "exp_moment", 5),
         ("moment", "exp_moment_star", 6), ("moment", "x_exp_moment", 6)]
+
+
+# what the hedges would read of the jump measure: they are assembled from
+# engine results and the constants of MmmModel alone
+MEASURE_NAMES = ("measure", "exp_moment", "split_moment")
+
+
+def _measure_references(source: str):
+    """(name, line) for each of MEASURE_NAMES that ``source`` names."""
+    return sorted(((name, line) for name in MEASURE_NAMES
+                   for line in _references(source, name)), key=lambda f: f[1])
+
+
+def test_hedging_reads_no_jump_measure():
+    found = _measure_references((SRC / "hedging.py").read_text(encoding="utf-8"))
+    assert not found, f"levyhedge/hedging.py reads the jump measure: {found}"
+
+
+def test_measure_reference_check_detects_each_form():
+    src = ("from .levy_core import split_moment\n"
+           "def bound(model, measure):\n"
+           "    return model.measure.exp_moment(4.0)\n"
+           "brace = measure_total\n")
+    assert _measure_references(src) == [("split_moment", 1), ("measure", 3),
+                                        ("exp_moment", 3)]
+
+
+# the directories whose files may reference a def of src/levyhedge
+REFERENCE_DIRS = ("src", "tests", "perfbench")
+
+
+def _definitions(tree: ast.AST):
+    """(name, is_method, first line, last line) of every def under ``tree``;
+    a method is a def in a class body."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((child.name, in_class, child.lineno, child.end_lineno))
+                visit(child, False)
+            else:
+                visit(child, in_class or isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def _unreferenced_defs(sources, checked):
+    """An entry "<file>:<line> <name>" for each non-dunder def in the files
+    ``checked`` of ``sources`` (file name to source) that no file names
+    outside the def itself: a method only as an attribute (``x.name``), a
+    function also as a variable or an imported name."""
+    trees = {f: ast.parse(src) for f, src in sources.items()}
+    refs = {}   # name -> [(file, line, as an attribute)]
+    for f, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((f, node.lineno, False))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((f, node.lineno, True))
+            elif isinstance(node, ast.alias):
+                for name in {node.name, node.asname} - {None}:
+                    refs.setdefault(name, []).append((f, node.lineno, False))
+    missing = []
+    for f in checked:
+        for name, method, lo, hi in _definitions(trees[f]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any((attr or not method) and not (rf == f and lo <= line <= hi)
+                       for rf, line, attr in refs.get(name, ())):
+                missing.append(f"{f}:{lo} {name}")
+    return missing
+
+
+def test_every_def_is_referenced():
+    # a def that nothing in the library, its tests or its benchmark names
+    # is dead code
+    root = SRC.parent.parent
+    sources = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+               for d in REFERENCE_DIRS for p in sorted((root / d).rglob("*.py"))}
+    checked = [f for f in sources if Path(f).parent == SRC.relative_to(root)]
+    assert len(checked) == len(MODULES) + 1
+    missing = _unreferenced_defs(sources, checked)
+    assert not missing, f"defs that nothing references: {missing}"
+
+
+def test_unreferenced_def_check_detects_each_form():
+    lib = ("class Quotes:\n"
+           "    def expiries(self):\n"
+           "        return self.expiries()\n"
+           "    def spot(self):\n"
+           "        return 1\n"
+           "    def __len__(self):\n"
+           "        return 0\n"
+           "def price(expiries):\n"
+           "    return expiries\n"
+           "def orphan():\n"
+           "    return orphan\n"
+           "def used():\n"
+           "    def inner():\n"
+           "        return 1\n"
+           "    return inner()\n")
+    user = "from lib import used\nq.spot\nprice(1)\n"
+    assert _unreferenced_defs({"lib.py": lib, "user.py": user}, ["lib.py"]) == [
+        "lib.py:2 expiries", "lib.py:10 orphan"]
 
 
 # the modules that start threads; within src/ only the Monte Carlo oracle

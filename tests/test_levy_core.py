@@ -71,14 +71,15 @@ def test_model_refuses_measure_without_fourth_exponential_moment(m_big):
 
 def test_c2_split_zero_measure():
     assert c2_split(bs_model()) == (0.0, 0.0)
+    assert ZeroMeasure().split_moment(2.0) == (0.0, 0.0)
 
 
 def test_c2_split_refuses_negative_squared_moment():
     # a closed form whose (e^x - 1)^2 moment comes out negative is a fault,
     # reported as the typed AssumptionError the CLI maps to exit 2
     class Faulty(ZeroMeasure):
-        def exp_moment(self, w, region="all", check=True):
-            return -complex(w) ** 2
+        def split_moment(self, w):
+            return -w**2, -w**2
 
     with pytest.raises(AssumptionError, match="negative squared moment"):
         c2_split(LevyModel(mu=0.0, sigma=0.2, measure=Faulty()))
@@ -202,7 +203,7 @@ def test_cumulant_evaluates_two_base_moments(family, request):
 def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
     # scalar points run on Python complex and cmath, arrays on numpy: one
     # formula each, which must agree on head points, on contour points past
-    # the strip, and for every region of the base moments
+    # the strip, and for the base moments
     head = np.array([0.5 - 1j, 3.0 - 0.2j, -7.0 - 1.9j, 0.0 - 1.75j])
     contour = 409.6 + np.array([-0.5j, -40.0j, 3.0j, 25.0j]) - 1.75j
     for mmm in (merton_mmm, vg_mmm):
@@ -213,13 +214,10 @@ def test_cumulant_vectorized_matches_scalar(merton_mmm, vg_mmm):
                 assert type(scalar) is complex
                 assert vi == pytest.approx(scalar, rel=1e-14)
         for ws in (1j * head, np.array([1.0, 2.0, 3.5])):
-            for region in ("all", "pos", "neg"):
-                vec = mmm.measure.exp_moment(ws, region)
-                for wi, vi in zip(ws, vec):
-                    assert vi == pytest.approx(
-                        mmm.measure.exp_moment(wi.item(), region), rel=1e-14)
-            with pytest.raises(ValueError, match="unknown region"):
-                mmm.measure.exp_moment(ws, "bogus")
+            vec = mmm.measure.exp_moment(ws)
+            for wi, vi in zip(ws, vec):
+                assert vi == pytest.approx(mmm.measure.exp_moment(wi.item()),
+                                           rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -241,15 +239,42 @@ def test_cumulant_scalar_overflow_is_non_finite(pure_jump_merton):
 def test_closed_form_moments_match_quadrature(family, request):
     measure = build_model(request.getfixturevalue(f"{family}_params")).measure
     for w in [1.0, 2.0, 0.5 + 3j, -1.0 + 10j]:
-        for region in ("all", "pos", "neg"):
-            a = measure.exp_moment(w, region)
-            b = quad_exp_moment(measure, w, region)
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (w, region)
+        a = measure.exp_moment(w)
+        b = quad_exp_moment(measure, w)
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), w
     assert measure.x_exp_moment(1.0) == pytest.approx(
         quad_x_exp_moment(measure, 1.0), rel=1e-9)
     assert measure.mean_jump() == pytest.approx(
         quad_x_exp_moment(measure, 0.0), rel=1e-9)
     validate(measure)
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_split_moment_matches_quadrature(family, request):
+    # the half-line moments, at the real w of C2+- and the brace, sum to
+    # the whole-line one
+    measure = build_model(request.getfixturevalue(f"{family}_params")).measure
+    for w in (1.0, 2.0, 3.0, 4.0):
+        pos, neg = measure.split_moment(w)
+        assert type(pos) is float and type(neg) is float
+        for a, region in ((pos, "pos"), (neg, "neg")):
+            b = quad_exp_moment(measure, w, region)
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (w, region)
+        assert pos + neg == pytest.approx(measure.exp_moment(w).real, rel=1e-13)
+
+
+@pytest.mark.parametrize("family", ["merton", "vg"])
+def test_t4_brace_matches_quadrature(family, request):
+    # C2- + integral_0^inf e^{2x} (e^x - 1)^2 nu(dx), integrated directly
+    mmm = to_mmm(build_model(request.getfixturevalue(f"{family}_params")))
+    dens = mmm.measure.density
+    brace = 0.0
+    for a, b in mmm.measure.quad_panels(w_re=4.0):
+        tilt = 2.0 if a >= 0 else 0.0       # the e^{2x} weight on x > 0 only
+        brace += quad(lambda x: np.exp(tilt * x) * np.expm1(x) ** 2 * dens(x),
+                      a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+    assert mmm.t4_brace == pytest.approx(brace, rel=1e-8)
+    assert mmm.t4_brace > mmm.c2_minus
 
 
 @pytest.mark.parametrize("m_big", [3.5, 4.5])

@@ -123,6 +123,9 @@ def test_vg_params_validation():
         VgParams(c_par=1.0, g_par=10.0, m_par=3.9)
     with pytest.raises(ValueError):
         VgParams(c_par=-1.0, g_par=10.0, m_par=10.0)
+    # the kappa form names its own field, not the C, G or M it would give
+    with pytest.raises(ValueError, match="kappa must be finite, got nan"):
+        vg_from_kappa(math.nan, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
