@@ -19,7 +19,6 @@ from .levy_core import (
 from .models import (
     MertonParams,
     VgParams,
-    merton_c2_minus,
     merton_model,
     vg_from_kappa,
     vg_model,

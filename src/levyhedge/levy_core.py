@@ -248,11 +248,16 @@ def c2_split(model: LevyModel) -> Tuple[float, float]:
     """(C2+, C2-): integrals of (e^x - 1)^2 nu(dx) over x>0 and x<0, as
     g(2) - 2 g(1) in g = split_moment.  AssumptionError if one is below
     -1e-12 (a faulty closed form); roundoff above it becomes 0."""
-    (p2, n2), (p1, n1) = (model.measure.split_moment(w) for w in (2.0, 1.0))
+    return _c2_split(model.measure)[:2]
+
+
+def _c2_split(nu: LevyMeasure) -> Tuple[float, float, float]:
+    # c2_split plus the x > 0 moment g(2), which to_mmm's t4_brace reuses
+    (p2, n2), (p1, n1) = (nu.split_moment(w) for w in (2.0, 1.0))
     c2p, c2m = p2 - 2.0 * p1, n2 - 2.0 * n1
     if c2p < -1e-12 or c2m < -1e-12:
         raise AssumptionError(f"negative squared moment: {c2p}, {c2m}")
-    return max(c2p, 0.0), max(c2m, 0.0)
+    return max(c2p, 0.0), max(c2m, 0.0), p2
 
 
 def to_mmm(model: LevyModel) -> MmmModel:
@@ -275,7 +280,7 @@ def to_mmm(model: LevyModel) -> MmmModel:
     nu = model.measure
     mu_s = compute_mu_s(model)
     g1 = nu.exp_moment(1.0)
-    c2p, c2m = c2_split(model)
+    c2p, c2m, p2 = _c2_split(nu)
     c2 = c2p + c2m
     denom = model.sigma**2 + c2
     if 0.0 < mu_s <= 1e-12 * max(1.0, denom):
@@ -290,7 +295,7 @@ def to_mmm(model: LevyModel) -> MmmModel:
     xexp1 = nu.x_exp_moment(1.0)
     drift_star = model.mu - model.sigma * xi - beta * (xexp1 - m1)
     m1_star = m1 - beta * (xexp1 - m1)
-    p2, p3, p4 = (nu.split_moment(w)[0] for w in (2.0, 3.0, 4.0))
+    p3, p4 = (nu.split_moment(w)[0] for w in (3.0, 4.0))
     return MmmModel(base=model, mu_s=mu_s, xi=xi, beta=beta, c2=c2,
                     c2_plus=c2p, c2_minus=c2m, drift_star=drift_star,
                     m1_star=m1_star, exp_moment_1=g1,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr  # normal CDF of every Merton model: loads on import
 
 from .levy_core import LevyMeasure, LevyModel, _complex, _exp, _log, c2_split, compute_mu_s
 
@@ -27,7 +26,6 @@ __all__ = [
     "build_model",
     "vg_from_kappa",
     "vg_to_kappa",
-    "merton_c2_minus",
 ]
 
 
@@ -116,6 +114,79 @@ def _gauss_emoment(m: float, delta: float, w) -> complex:
     return _exp(w * m + 0.5 * w * w * delta * delta)
 
 
+# Cephes ndtr (S. L. Moshier), the kernel of scipy.special.ndtr, ported
+# with its coefficient tables, Horner order and branches so that every
+# output bit is scipy's; tests/test_models.py compares the two with ==.
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_NDTR_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+           2.23200534594684319226e3, 7.00332514112805075473e3,
+           5.55923013010394962768e4)
+_NDTR_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+           4.59432382970980127987e3, 2.26290000613890934246e4,
+           4.92673942608635921086e4)
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    # polevl with an implied leading coefficient 1
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    # Cephes erf for |x| <= 1, the only range _ndtr reaches it on
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _p1evl(z, _NDTR_U)
+
+
+def _erfc(a: float) -> float:
+    # Cephes erfc for a >= 1/sqrt(2), the only range _ndtr calls it on
+    if a < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:        # 0, where exp(z) would still be subnormal
+        return 0.0
+    z = math.exp(z)
+    if a < 8.0:
+        return (z * _polevl(a, _NDTR_P)) / _p1evl(a, _NDTR_Q)
+    return (z * _polevl(a, _NDTR_R)) / _p1evl(a, _NDTR_S)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF of a float, bit for bit scipy.special.ndtr
+    (nan passes through every comparison and comes out nan)."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 class MertonMeasure(LevyMeasure):
     """nu(dx) = gamma * N(m, delta^2) density; total mass gamma."""
 
@@ -141,8 +212,8 @@ class MertonMeasure(LevyMeasure):
         # one-sided Gaussian exponential moments via the normal CDF
         g, m, d = self.gamma, self.m, self.delta
         e = _gauss_emoment(m, d, w)
-        up = ndtr((m + w * d * d) / d)      # mass of e^{wx} * N over x > 0
-        p_pos = ndtr(m / d)
+        up = _ndtr((m + w * d * d) / d)      # mass of e^{wx} * N over x > 0
+        p_pos = _ndtr(m / d)
         return float(g * (e * up - p_pos)), float(g * (e * (1.0 - up) - (1.0 - p_pos)))
 
     def tilted(self, beta: float) -> Tuple[float, float]:
@@ -266,15 +337,3 @@ def _mu_for_mu_s(p: MertonParams, fraction: float = 0.5) -> float:
     c2p, c2m = c2_split(probe)
     return -fraction * (probe.sigma**2 + c2p + c2m) - mu_s0
 
-
-def merton_c2_minus(p: MertonParams) -> float:
-    """Closed form for the negative-side squared exponential jump moment:
-
-    gamma [ e^{2(delta^2+m)} Phi(-(2 delta^2+m)/delta)
-            - 2 e^{(delta^2+2m)/2} Phi(-(delta^2+m)/delta)
-            + Phi(-m/delta) ]
-    """
-    g, m, d = p.gamma, p.m, p.delta
-    return g * (math.exp(2.0 * (d * d + m)) * ndtr(-(2.0 * d * d + m) / d)
-                - 2.0 * math.exp((d * d + 2.0 * m) / 2.0) * ndtr(-(d * d + m) / d)
-                + ndtr(-m / d))

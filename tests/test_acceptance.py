@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from levyhedge import (
     FourierConfig,
+    c2_split,
     call_price,
     char_fn,
     mmm_cumulant,
@@ -33,7 +34,6 @@ from levyhedge.fourier import call_prices
 from levyhedge.hedging import bound_t4_constant, sweep
 from levyhedge.models import (
     MertonParams,
-    merton_c2_minus,
     merton_model,
     vg_from_kappa,
     vg_model,
@@ -101,7 +101,7 @@ def test_criterion_2_closed_forms_vs_quadrature(setup):
     dens_m = setup["merton"].measure.density
     q = quad(lambda x: (np.exp(x) - 1) ** 2 * dens_m(x), -2.5, 0.0,
              epsabs=1e-16)[0]
-    worst = max(worst, abs(merton_c2_minus(mp) - q) / q)
+    worst = max(worst, abs(c2_split(merton_model(mp))[1] - q) / q)
     dens_v = setup["vg"].measure.density
     qp = quad(lambda x: (np.exp(x) - 1) ** 2 * dens_v(x), 0.0, 2.0,
               epsabs=1e-15, limit=200)[0]

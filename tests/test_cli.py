@@ -579,30 +579,39 @@ from levyhedge.benchmarks import merton_benchmark
 from levyhedge.calibration import Quote, QuoteSet, calibrate
 
 def loaded():
-    return [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 seen = {"import": loaded()}
-ini, out = sys.argv[1], sys.argv[2]
-seen["sweep"] = [cli.main(["sweep", "--config", ini, "--out", out])] + loaded()
-seen["verify"] = [cli.main(["verify", "--config", ini, "--paths", "20000"])] + loaded()
+out = sys.argv[1]
+for family, ini in zip(("merton", "vg"), sys.argv[2:]):
+    seen["sweep " + family] = [
+        cli.main(["sweep", "--config", ini, "--out", out])] + loaded()
+    seen["verify " + family] = [
+        cli.main(["verify", "--config", ini, "--paths", "20000"])] + loaded()
 quotes = QuoteSet(spot=100.0, quotes=(Quote(0.25, 100.0, 2.5),))
 calibrate(quotes, merton_benchmark(), max_iter=1)
-seen["calibrate"] = loaded()
+seen["calibrate"] = [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_sweep_and_verify_never_import_quadrature_or_optimizer(tmp_path):
     # scipy.integrate serves only the reference oracle and scipy.optimize
-    # only calibrate; a fresh interpreter shows which modules load
-    ini = tmp_path / "vg.ini"
-    ini.write_text(VG_INI)
+    # only calibrate, and the normal CDF of the Merton constants is
+    # models._ndtr, so importing the CLI, sweep and verify load no scipy
+    # module at all; a fresh interpreter shows which modules load
+    inis = []
+    for family, text in (("merton", MERTON_INI), ("vg", VG_INI)):
+        inis.append(tmp_path / f"{family}.ini")
+        inis[-1].write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(ini), str(tmp_path / "out.csv")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out.csv"), *map(str, inis)],
         capture_output=True, text=True, timeout=300, env=env, check=True)
     seen = json.loads(done.stdout.strip().splitlines()[-1])
-    assert seen == {"import": [], "sweep": [EXIT_OK], "verify": [EXIT_OK],
+    assert seen == {"import": [],
+                    "sweep merton": [EXIT_OK], "verify merton": [EXIT_OK],
+                    "sweep vg": [EXIT_OK], "verify vg": [EXIT_OK],
                     "calibrate": ["scipy.optimize"]}

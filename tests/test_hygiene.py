@@ -5,7 +5,8 @@ oracle does not reach the batch engine it checks, and the condition
 integral stays on fixed nodes; one function checks the damping line
 against the strip and one evaluation step finishes every engine
 transform; scipy.integrate serves only the oracle,
-scipy.optimize only the body of ``calibrate``, and the quadrature oracle
+scipy.optimize only the body of ``calibrate``, no module imports
+scipy.special, and the quadrature oracle
 of the Levy-measure moments names none of the closed forms it checks.
 The hedges read no jump measure, and every def of the library is named
 somewhere outside itself.  Threads serve only the Monte Carlo oracle:
@@ -277,6 +278,17 @@ def test_integrate_import_check_detects_each_form():
            "def g():\n"
            "    from scipy.special import ndtr\n")
     assert _scipy_imports(src) == [("", 1), ("", 2), ("A.f", 5)]
+    assert _scipy_imports(src, "special") == [("", 2), ("g", 7)]
+
+
+def test_no_module_imports_special_functions():
+    # the Merton normal CDF is models._ndtr, a port of scipy's kernel:
+    # scipy.special would cost every verb about 0.15 s of set-up
+    found = [(name, scope)
+             for name in MODULES + ["__init__"]
+             for scope, _ in _scipy_imports(
+                 (SRC / f"{name}.py").read_text(encoding="utf-8"), "special")]
+    assert found == []
 
 
 def test_optimizer_is_imported_inside_calibrate_only():

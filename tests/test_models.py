@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-from levyhedge import LevyModel, StripError, mmm_cumulant, to_mmm
+from levyhedge import LevyModel, StripError, c2_split, mmm_cumulant, to_mmm
 from levyhedge.models import (
     MertonMeasure,
     MertonParams,
     VgMeasure,
     VgParams,
-    merton_c2_minus,
+    _ndtr,
+    merton_model,
     vg_from_kappa,
     vg_to_kappa,
 )
@@ -134,7 +136,7 @@ def test_vg_params_validation():
 
 def test_merton_c2_minus_closed_form(merton_params):
     p = merton_params
-    val = merton_c2_minus(p)
+    val = c2_split(merton_model(p))[1]
     assert val == pytest.approx(MERTON_C2_MINUS, rel=1e-10)
     dens = merton_density(p)
     oracle = quad(lambda x: (np.exp(x) - 1) ** 2 * dens(x),
@@ -143,13 +145,44 @@ def test_merton_c2_minus_closed_form(merton_params):
 
 
 def test_merton_c2_minus_limits():
-    tiny = merton_c2_minus(MertonParams(mu=0, sigma=0.1, gamma=1e-12,
-                                        m=-0.1, delta=0.1))
+    tiny = c2_split(merton_model(MertonParams(mu=0, sigma=0.1, gamma=1e-12,
+                                              m=-0.1, delta=0.1)))[1]
     assert tiny == pytest.approx(0.0, abs=1e-12)
     # all jumps far positive: the negative-side moment collapses
-    pos = merton_c2_minus(MertonParams(mu=0, sigma=0.1, gamma=1.0,
-                                       m=3.0, delta=0.1))
+    pos = c2_split(merton_model(MertonParams(mu=0, sigma=0.1, gamma=1.0,
+                                             m=3.0, delta=0.1)))[1]
     assert pos == pytest.approx(0.0, abs=1e-10)
+
+
+def _ndtr_mismatches(xs):
+    xs = np.asarray(xs, dtype=float)
+    got = np.array([_ndtr(float(x)) for x in xs])
+    ref = ndtr(xs)
+    same = (got == ref) | (np.isnan(got) & np.isnan(ref))
+    return xs[~same]
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    # the Merton constants, and through them the admissible drift that
+    # tests/golden/rmse.json pins, need scipy's bits, not libm's erfc
+    rng = np.random.default_rng(29)
+    draws = [rng.normal(scale=s, size=100_000) for s in (1.0, 5.0)]
+    # |a|/sqrt 2 against 1/sqrt 2, erfc's splits at 1 and 8, and the
+    # underflow exp(-a^2/2) below e^-MAXLOG
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+             math.sqrt(2.0 * 7.09782712893383996843e2)]
+    near = []
+    for e in edges + [0.0]:
+        for x in (e, -e):
+            up = down = x
+            for _ in range(4):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                near += [up, down]
+            near.append(x)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for xs in [np.linspace(-40.0, 40.0, 400_001)] + draws + [near, specials]:
+        assert _ndtr_mismatches(xs).size == 0
+    assert math.copysign(1.0, _ndtr(-0.0)) == 1.0 and math.isnan(_ndtr(math.nan))
 
 
 def test_vg_c2_split_closed_forms(vg_mmm):
