@@ -376,8 +376,8 @@ def calibrate(qs: QuoteSet, init: Params, cfg: Optional[FourierConfig] = None,
             with np.errstate(over="ignore", invalid="ignore"):
                 prices, jac = _prices_for(family.to_params(x), qs, cfg, cache,
                                           family.dpsi)
-        except (AccuracyError, AssumptionError, ValueError):
-            # a trial point the engine cannot price: the step is retried shorter
+        except (AccuracyError, AssumptionError, ValueError, OverflowError):
+            # a trial point that overflows or cannot be priced: retried shorter
             return np.full(mids.size, np.nan)
         # least_squares asks for the Jacobian at each point it accepts, the
         # last one it evaluated, and most points are accepted: so the

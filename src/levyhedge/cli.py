@@ -255,12 +255,15 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
                 break
 
     rows: List[dict] = []
-    if len(refused) < len(chis):
+    kept = [chi for i, chi in enumerate(chis) if i not in refused]
+    if kept:
         sample = oracle_mc.simulate_log_returns(mmm, mcfg)
-        mart = oracle_mc.martingale_from_sample(sample)
+        mc = oracle_mc.estimates_from_sample(mmm, sample, kept)
+        mart = mc.martingale
         rows.append({"chi": "", "quantity": "martingale mean(e^L)",
                      "fourier": 1.0, "mc": mart.value, "se": mart.se,
                      "z": (mart.value - 1.0) / mart.se})
+        by_strike = iter(mc.strikes)
     for i, chi in enumerate(chis):
         if i in refused:
             rows += [{"chi": chi, "quantity": name, "fourier": math.nan,
@@ -269,14 +272,14 @@ def verify_report(mmm: MmmModel, phi, chis: Sequence[float],
             continue
         value = {kind: fourier[kind][i].value for kind in fourier}
         tu = value["tail"]
-        tl = oracle_mc.tail_upper_from_sample(sample, chi)
-        e2 = oracle_mc.i2_from_sample(mmm, sample, chi)
+        at = next(by_strike)
+        tl, e2 = at.tail_upper, at.i2
         band2 = max(e2.se + e2.x_quad_err, 1e-15)
         pairs = [
-            (value["i1"], oracle_mc.i1_from_sample(sample, chi)),
+            (value["i1"], at.i1),
             (tu, tl),
             (1.0 - tu, oracle_mc.McEstimate(1.0 - tl.value, tl.se)),
-            (value["price"], oracle_mc.price_from_sample(sample, chi)),
+            (value["price"], at.price),
             (value["i2"], oracle_mc.McEstimate(e2.value, band2)),
         ]
         # zero-variance (all-identical) draws get the rule-of-three floor 1/n

@@ -5,9 +5,11 @@ L_tau exactly and estimates I1, I2, tail probabilities, and call prices
 with standard errors.  Sampling is exact for both shipped model families:
 
 * Merton: the tilted jump measure (1 - theta_x) nu(dx) is a two-component
-  Gaussian mixture (``MertonMeasure.tilted``), so compound-Poisson paths
-  are drawn with its intensity and mixture sizes -- no rejection, no
-  weights.
+  Gaussian mixture of mass Lambda (``MertonMeasure.tilted``).  For nb paths
+  a Poisson(Lambda tau nb) total of jumps is placed on uniform paths, which
+  gives each path an independent Poisson(Lambda tau) count at a cost that
+  follows the jumps, not the paths; the sizes are drawn from the mixture --
+  no rejection, no weights.
 * Variance gamma: (1 - theta_x) nu(dx) splits the same way into two VG
   measures, (1+beta) VG(C, G, M) and -beta VG(C, G+1, M-1), and each VG law
   at horizon tau is a pair Gamma(a)/r - Gamma(a)/q of one shape a = C tau.
@@ -18,25 +20,19 @@ with standard errors.  Sampling is exact for both shipped model families:
   Gaussian pieces are one Gaussian, so a path takes two gamma variates and
   one normal (one gamma when beta = 0).
 
-Randomness comes from a counter-based Philox generator split into a fixed
-number of substreams, each filling its own slice of the sample.  Every
-estimator then fills its per-path array (two for I2) in fixed slices of
-``_CHUNK`` paths.  Substreams and slices run on a thread pool of one worker
-per usable CPU (numpy releases the GIL in bulk draws, gathers and
-elementwise work); the pool starts on first use, and with one CPU the work
-runs serially.  Every task writes a disjoint slice and each mean and
-standard error is taken once over a whole array, so estimates are
-reproducible bit for bit and depend neither on the chunking nor on the
-worker count.  ``_mean_se`` squares the deviations in the per-path array
-itself, so an estimator holds one path-length array (I2 two) beside the
-sample.
+Randomness comes from 64 SFC64 substreams spawned from one
+``SeedSequence``, each filling its own slice of the sample.
 
-I2 sums its quadrature nodes per path from suffix sums, read at the
-path's index among the sorted nodes.  ``_node_index`` finds that index in
-O(1) from a table of ``_BINS`` uniform bins, built per call from the node
-set, and a fixed number of one-node steps computed from the table; it
-equals ``np.searchsorted(..., side="right")`` exactly, because the
-floating-point bin of a key never decreases as the key grows.
+``estimates_from_sample`` reads the sample once, in fixed slices of
+``_CHUNK`` paths.  Each slice returns the count, mean and sum of squared
+deviations of every quantity from its own arrays, so the pass holds no
+path-length array beside the sample, and the slices are merged in slice
+order by the pairwise update of Chan, Golub & LeVeque (1983).  Substreams
+and slices run on a thread pool of one worker per usable CPU (numpy
+releases the GIL in bulk draws, gathers and elementwise work); the pool
+starts on first use, and with one CPU the work runs serially.  Every task
+writes a disjoint slice or returns its own moments, so every estimate is
+reproducible bit for bit for any worker count.
 """
 
 from __future__ import annotations
@@ -46,8 +42,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,18 +57,16 @@ __all__ = [
     "McSample",
     "McEstimate",
     "McI2Estimate",
+    "McStrikeEstimates",
+    "McEstimates",
     "simulate_log_returns",
-    "martingale_from_sample",
-    "i1_from_sample",
-    "i2_from_sample",
-    "tail_upper_from_sample",
-    "price_from_sample",
+    "estimates_from_sample",
 ]
 
-_GENERATOR = "numpy.random.Philox"
+_GENERATOR = "numpy.random.SFC64"
 _N_BATCHES = 64
-# paths per task of an estimator's per-path pass; fixed, so the split never
-# follows the worker count
+# paths per slice of the estimate pass; fixed, so the split never follows
+# the worker count
 _CHUNK = 2**16
 # uniform bins of the I2 node index
 _BINS = 2**16
@@ -141,9 +136,27 @@ class McI2Estimate:
     x_quad_err: float
 
 
+# the pass's records are named tuples, which take a fifth of a frozen
+# dataclass's time to define at import
+class McStrikeEstimates(NamedTuple):
+    """Estimates at one strike (moneyness chi, unit spot)."""
+
+    i1: McEstimate
+    tail_upper: McEstimate
+    price: McEstimate
+    i2: McI2Estimate
+
+
+class McEstimates(NamedTuple):
+    """mean(e^L), which is 1 under the MMM, and the estimates per strike."""
+
+    martingale: McEstimate
+    strikes: Tuple[McStrikeEstimates, ...]
+
+
 def _substreams(seed: int) -> List[np.random.Generator]:
     seqs = np.random.SeedSequence(seed).spawn(_N_BATCHES)
-    return [np.random.Generator(np.random.Philox(s)) for s in seqs]
+    return [np.random.Generator(np.random.SFC64(s)) for s in seqs]
 
 
 def _batch_sizes(n: int) -> List[int]:
@@ -177,16 +190,17 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
         drift = (model.drift_star - model.m1_star) * tau
 
         def draw(rng, nb, start):
-            z = rng.standard_normal(nb)
-            counts = rng.poisson(g_star * tau, nb)
-            total = int(counts.sum())
-            jumps = np.zeros(nb)
+            o = out[start:start + nb]
+            rng.standard_normal(nb, out=o)
+            o *= model.sigma * math.sqrt(tau)
+            o += drift
+            # Poisson splitting: the total count, then a path per jump
+            total = rng.poisson(g_star * tau * nb)
             if total:
+                paths = rng.integers(nb, size=total)
                 shift = d * d * (rng.random(total) < p2)
                 sizes_j = m + shift + d * rng.standard_normal(total)
-                jumps = np.bincount(np.repeat(np.arange(nb), counts),
-                                    weights=sizes_j, minlength=nb)
-            out[start:start + nb] = (drift + model.sigma * math.sqrt(tau) * z + jumps)
+                o += np.bincount(paths, weights=sizes_j, minlength=nb)
     elif isinstance(measure, VgMeasure):
         method = "exact-tilted-gamma-clock"
         c, g_, mb = measure.c, measure.g, measure.m_big
@@ -220,81 +234,6 @@ def simulate_log_returns(model: MmmModel, cfg: McConfig) -> McSample:
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
-
-def _per_path(sample: McSample, fill: Callable[..., None],
-              n_out: int = 1) -> List[np.ndarray]:
-    """``n_out`` per-path arrays ys, filled on the worker pool by
-    ``fill(L[part], *(y[part] for y in ys))`` for each slice ``part`` of
-    ``_CHUNK`` paths."""
-    L = sample.log_returns
-    ys = [np.empty(L.size) for _ in range(n_out)]
-
-    def run(start: int) -> None:
-        part = slice(start, start + _CHUNK)
-        fill(L[part], *(y[part] for y in ys))
-
-    _map(run, range(0, L.size, _CHUNK))
-    return ys
-
-
-def _mean_se(y: np.ndarray) -> McEstimate:
-    """Mean and standard error of y, equal bit for bit to y.mean() and
-    y.std(ddof=1) / sqrt(n): the same pairwise sums, with the deviations
-    squared in y itself, which this overwrites."""
-    n = y.size
-    mean = y.mean()
-    np.subtract(y, mean, out=y)
-    np.square(y, out=y)
-    return McEstimate(float(mean), math.sqrt(y.sum() / (n - 1)) / math.sqrt(n))
-
-
-def martingale_from_sample(sample: McSample) -> McEstimate:
-    """mean(e^L), which is 1 under the MMM."""
-    return _mean_se(*_per_path(sample, np.exp))
-
-
-def _halve_ties(l: np.ndarray, log_chi: float, y: np.ndarray) -> None:
-    """Halve y where L = log chi: a tie counts 1/2 in a step at the strike,
-    the midpoint that Fourier inversion gives at a jump of the law."""
-    tie = l == log_chi
-    if tie.any():
-        y[tie] *= 0.5
-
-
-def i1_from_sample(sample: McSample, chi: float) -> McEstimate:
-    log_chi = math.log(_moneyness(chi))
-
-    def fill(l, y):
-        np.exp(l, out=y)
-        # e^L or +0.0 without a branch per path; the step is taken on L,
-        # since e^L rounds to exactly 1.0 for 0 < L < 1.1e-16
-        np.multiply(y, l >= log_chi, out=y)
-        _halve_ties(l, log_chi, y)
-
-    return _mean_se(*_per_path(sample, fill))
-
-
-def tail_upper_from_sample(sample: McSample, chi: float) -> McEstimate:
-    log_chi = math.log(_moneyness(chi))
-
-    def fill(l, y):
-        np.greater_equal(l, log_chi, out=y)
-        _halve_ties(l, log_chi, y)
-
-    return _mean_se(*_per_path(sample, fill))
-
-
-def price_from_sample(sample: McSample, chi: float) -> McEstimate:
-    """Call price at unit spot and strike chi."""
-    chi = float(_moneyness(chi))
-
-    def fill(l, y):
-        np.exp(l, out=y)
-        y -= chi
-        np.maximum(y, 0.0, out=y)
-
-    return _mean_se(*_per_path(sample, fill))
-
 
 def _i2_nodes(measure) -> Tuple[np.ndarray, np.ndarray]:
     """160-point Gauss-Legendre nodes/weights on each of the measure's
@@ -350,55 +289,111 @@ def _node_index(xs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return index
 
 
-def i2_from_sample(model: MmmModel, sample: McSample, chi: float) -> McI2Estimate:
-    """I2 estimate: outer x-integral by fixed Gauss-Legendre quadrature over
-    the path-averaged payoff difference, common random numbers across nodes.
+# (count, mean, sum of squared deviations) of a per-path quantity
+_Moments = Tuple[int, float, float]
 
-    The per-path aggregate Y_i = sum_j coef_j [(s_i e^{x_j} - chi)^+ -
-    (s_i - chi)^+], with coef_j = w_j (e^{x_j} - 1) nu(x_j) and s_i = e^{L_i},
-    is piecewise linear in s_i:
+
+def _moments(y: np.ndarray, work: np.ndarray) -> _Moments:
+    """The moments of y in two passes, squaring the deviations in work."""
+    mean = y.mean()
+    np.subtract(y, mean, out=work)
+    np.square(work, out=work)
+    return y.size, float(mean), float(work.sum())
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """The moments of two samples joined, by the pairwise update of Chan,
+    Golub & LeVeque (1983)."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n, delta = na + nb, mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def _estimate(moments: _Moments) -> McEstimate:
+    n, mean, m2 = moments
+    return McEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+
+
+def estimates_from_sample(model: MmmModel, sample: McSample,
+                          chis: Sequence[float]) -> McEstimates:
+    """mean(e^L) and, at each strike chi (unit spot), I1, the upper tail,
+    the call price and I2, from one pass over the sample.
+
+    I1 and the tail take a step on L at log chi, where a tie counts 1/2.
+    I2's outer x-integral is a fixed Gauss-Legendre quadrature over the
+    path-averaged payoff difference, with common random numbers across
+    nodes.  The per-path aggregate Y_i = sum_j coef_j [(s_i e^{x_j} - chi)^+
+    - (s_i - chi)^+], with coef_j = w_j (e^{x_j} - 1) nu(x_j) and s_i =
+    e^{L_i}, is piecewise linear in s_i:
 
         Y_i = s_i A(t_i) - chi B(t_i) - C (s_i - chi)^+,  t_i = log(chi) - L_i,
 
     where A(t) and B(t) are the sums of coef_j e^{x_j} and coef_j over the
     nodes with x_j > t, and C is the sum of all coef_j.  With the nodes
     sorted once, A and B are suffix sums read at the index of t_i among the
-    nodes, which ``_node_index`` finds in O(1) per path from a table of
-    ``_BINS`` uniform bins; the cost is O(n + m) for n paths and m nodes
-    and the memory O(n); no n-by-m payoff matrix is formed.
+    nodes, which ``_node_index`` finds in O(1) per path; the cost is O(n +
+    m) for n paths and m nodes, and no n-by-m payoff matrix is formed.
 
     Y_i makes the standard error exact in the path dimension; the
     x-quadrature error is estimated by dropping to every other node (the
     half rule, with its own suffix sums) and reported separately.
     """
-    chi = float(_moneyness(chi))
-    log_chi = math.log(chi)
+    chis = [float(_moneyness(c)) for c in chis]
     measure = model.measure
-    if isinstance(measure, ZeroMeasure):
-        return McI2Estimate(0.0, 0.0, 0.0)
-    xs, ws = _i2_nodes(measure)
-    coef = ws * (np.exp(xs) - 1.0) * measure.density(xs)   # full rule
-    coef_h = coef.copy()
-    coef_h[::2] = 0.0                                # half rule (odd nodes, reweighted)
-    coef_h *= 2.0
-    order = np.argsort(xs)
-    xs, coef, coef_h = xs[order], coef[order], coef_h[order]
-    ex = np.exp(xs)
-    rules = []
-    for c in (coef, coef_h):
-        b = _suffix_sums(c)
-        rules.append((_suffix_sums(c * ex), chi * b, b[0]))   # A, chi B, C
-    index = _node_index(xs)
+    tables = []
+    if not isinstance(measure, ZeroMeasure):
+        xs, ws = _i2_nodes(measure)
+        coef = ws * (np.exp(xs) - 1.0) * measure.density(xs)   # full rule
+        coef_h = coef.copy()
+        coef_h[::2] = 0.0                            # half rule (odd nodes, reweighted)
+        coef_h *= 2.0
+        order = np.argsort(xs)
+        xs, coef, coef_h = xs[order], coef[order], coef_h[order]
+        ex = np.exp(xs)
+        index = _node_index(xs)
+        tables = [(_suffix_sums(c * ex), _suffix_sums(c)) for c in (coef, coef_h)]
+    # per strike: chi, log chi and (A, chi B, C) of each I2 rule
+    strikes = [(chi, math.log(chi), [(a, chi * b, b[0]) for a, b in tables])
+               for chi in chis]
+    L = sample.log_returns
 
-    def aggregate(l, y_full, y_half):
-        k = index(log_chi - l)
-        s = np.exp(l)
-        itm = np.maximum(s - chi, 0.0)
-        for y, (a, chi_b, c_all) in zip((y_full, y_half), rules):
-            np.multiply(s, a[k], out=y)
-            y -= chi_b[k]
-            y -= c_all * itm
+    def moments_of_slice(start: int) -> List[_Moments]:
+        l = L[start:start + _CHUNK]
+        # the slice's arrays are made once and reused for every quantity
+        s, step, itm, y, work = (np.empty_like(l) for _ in range(5))
+        np.exp(l, out=s)
+        out = [_moments(s, work)]
+        for chi, log_chi, rules in strikes:
+            # the step is taken on L, since e^L rounds to exactly 1.0 for
+            # 0 < L < 1.1e-16, and a tie counts 1/2, the midpoint that
+            # Fourier inversion gives at a jump of the law
+            np.greater_equal(l, log_chi, out=step)
+            tie = l == log_chi
+            if tie.any():
+                step[tie] = 0.5
+            np.multiply(s, step, out=y)
+            np.subtract(s, chi, out=itm)
+            np.maximum(itm, 0.0, out=itm)
+            out += [_moments(y, work), _moments(step, work), _moments(itm, work)]
+            if rules:
+                k = index(log_chi - l)
+                for a, chi_b, c_all in rules:
+                    np.take(a, k, out=y)
+                    y *= s
+                    y -= np.take(chi_b, k, out=work)
+                    y -= np.multiply(itm, c_all, out=work)
+                    out.append(_moments(y, work))
+        return out
 
-    y_full, y_half = _per_path(sample, aggregate, 2)
-    est = _mean_se(y_full)
-    return McI2Estimate(est.value, est.se, abs(est.value - float(y_half.mean())))
+    slices = _map(moments_of_slice, range(0, L.size, _CHUNK))
+    merged = iter([reduce(_merge, col) for col in zip(*slices)])
+    martingale = _estimate(next(merged))
+    found = []
+    for _ in chis:
+        i1, tail, price = (_estimate(next(merged)) for _ in range(3))
+        i2 = McI2Estimate(0.0, 0.0, 0.0)
+        if tables:
+            full, half = _estimate(next(merged)), next(merged)
+            i2 = McI2Estimate(full.value, full.se, abs(full.value - half[1]))
+        found.append(McStrikeEstimates(i1, tail, price, i2))
+    return McEstimates(martingale, tuple(found))

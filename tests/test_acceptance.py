@@ -39,14 +39,7 @@ from levyhedge.models import (
     vg_model,
     vg_to_kappa,
 )
-from levyhedge.oracle_mc import (
-    McConfig,
-    i1_from_sample,
-    i2_from_sample,
-    price_from_sample,
-    simulate_log_returns,
-    tail_upper_from_sample,
-)
+from levyhedge.oracle_mc import McConfig, estimates_from_sample, simulate_log_returns
 from quadrature import mmm_cumulant_quad
 
 
@@ -145,17 +138,12 @@ def test_criterion_4_monte_carlo_agreement(setup):
         m, phi = setup[key], setup["phi_" + key]
         sample = simulate_log_returns(m, mcfg)
         floor = 1.0 / sample.n_paths
-        for chi in grid:
-            e = i1_from_sample(sample, chi)
-            z = abs(transform("i1", phi, chi, cfg).value - e.value) / max(e.se, floor)
-            worst_z = max(worst_z, z)
-            e = tail_upper_from_sample(sample, chi)
-            z = abs(transform("tail", phi, chi, cfg).value - e.value) / max(e.se, floor)
-            worst_z = max(worst_z, z)
-            e = price_from_sample(sample, chi)
-            z = abs(call_price(phi, 1.0, chi, cfg) - e.value) / max(e.se, floor)
-            worst_z = max(worst_z, z)
-            e2 = i2_from_sample(m, sample, chi)
+        for chi, at in zip(grid, estimates_from_sample(m, sample, grid).strikes):
+            for want, e in ((transform("i1", phi, chi, cfg).value, at.i1),
+                            (transform("tail", phi, chi, cfg).value, at.tail_upper),
+                            (call_price(phi, 1.0, chi, cfg), at.price)):
+                worst_z = max(worst_z, abs(want - e.value) / max(e.se, floor))
+            e2 = at.i2
             band = max(e2.se + e2.x_quad_err, floor)
             z = abs(transform("i2", phi, chi, cfg, model=m).value - e2.value) / band
             worst_z = max(worst_z, z)

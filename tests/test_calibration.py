@@ -34,7 +34,7 @@ from levyhedge.models import (
     vg_model,
     vg_to_kappa,
 )
-from levyhedge.oracle_mc import McConfig, price_from_sample, simulate_log_returns
+from levyhedge.oracle_mc import McConfig, estimates_from_sample, simulate_log_returns
 from test_golden import benchmark_start
 
 EXPIRIES = [30 / 365, 58 / 365, 86 / 365, 149 / 365, 240 / 365, 275 / 365,
@@ -126,7 +126,7 @@ def test_price_against_mc(merton_mmm, cfg):
     ref = call_price(char_fn(merton_mmm, T), SPOT, K, cfg)
     sample = simulate_log_returns(merton_mmm, McConfig(n_paths=400_000, seed=5,
                                                        horizon=T))
-    est = price_from_sample(sample, K / SPOT)
+    est = estimates_from_sample(merton_mmm, sample, [K / SPOT]).strikes[0].price
     assert abs(ref - SPOT * est.value) <= 3.0 * SPOT * est.se
 
 

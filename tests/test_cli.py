@@ -13,7 +13,7 @@ import pytest
 
 import levyhedge
 from levyhedge import FourierConfig, cli, to_mmm
-from levyhedge.benchmarks import SPOT
+from levyhedge.benchmarks import SPOT, merton_benchmark
 from levyhedge.calibration import Quote, QuoteSet, write_quotes
 from levyhedge.cli import (
     EXIT_CONFIG,
@@ -407,6 +407,28 @@ def test_verify_computes_each_transform_once_per_strike(merton_mmm, phi_merton,
     assert counts == {"calls": 1, "i1": 2, "tail": 2, "price": 2, "i2": 2}
 
 
+@pytest.mark.parametrize("chis", [[1.0], [0.9037, 0.95, 1.0, 1.05, 1.1891]],
+                         ids=["one", "five"])
+def test_verify_reads_the_sample_in_one_pass(merton_mmm, phi_merton, cfg,
+                                             monkeypatch, chis):
+    # one pool map draws the paths and one computes every Monte Carlo
+    # estimate at every strike; a second estimator path would map again
+    from levyhedge import oracle_mc
+    maps = []
+    real = oracle_mc._map
+
+    def counted(fn, *iterables):
+        maps.append(fn.__name__)
+        return real(fn, *iterables)
+
+    monkeypatch.setattr(oracle_mc, "_map", counted)
+    rows, ok = verify_report(merton_mmm, phi_merton, chis, cfg,
+                             McConfig(n_paths=20_000, seed=1,
+                                      horizon=phi_merton.horizon))
+    assert ok and len(rows) == 1 + 5 * len(chis)
+    assert maps == ["draw", "moments_of_slice"]
+
+
 NEAR_LATTICE_INI = """
 [model]
 family = merton
@@ -539,6 +561,26 @@ def test_calibrate_cli_empty_quotes(tmp_path):
                    "init_m = -0.07\ninit_delta = 0.09\n")
     assert main(["calibrate", "--config", str(ini), "--quotes", str(qpath),
                  "--family", "merton"]) == EXIT_CONFIG
+
+
+def test_calibrate_survives_a_trial_point_that_overflows(tmp_path, capsys):
+    # from this start a trust-region step reaches a box point where
+    # exp(-m - var/2) overflows while mapping it to Merton parameters; the
+    # point counts as unpriceable and the fit still reaches the truth
+    ini = tmp_path / "cal.ini"
+    ini.write_text("[calibration]\ninit_sigma = 0.05\ninit_gamma = 0.5\n"
+                   "init_m = -2.0\ninit_delta = 0.05\n")
+    quotes = Path(__file__).resolve().parent / "golden" / "quotes_merton.csv"
+    out = tmp_path / "result.txt"
+    assert main(["calibrate", "--config", str(ini), "--quotes", str(quotes),
+                 "--family", "merton", "--out", str(out)]) == EXIT_OK
+    assert "converged = True" in capsys.readouterr().out
+    fit = dict(line.split(" = ", 1) for line in out.read_text().splitlines()
+               if " = " in line)
+    assert float(fit["rmse"]) < 1e-9
+    truth = merton_benchmark()
+    for name in ("sigma", "gamma", "m", "delta"):
+        assert float(fit[name]) == pytest.approx(getattr(truth, name), rel=1e-6)
 
 
 def test_calibrate_reads_the_fourier_section(tmp_path, capsys, monkeypatch):

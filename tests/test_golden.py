@@ -6,15 +6,18 @@ Regenerate (only when a change of output is intended, and say so) with
 
     PYTHONPATH=src python tests/test_golden.py
 
-A change of the Monte Carlo sampler of one family regenerates by this rule:
+A change of the Monte Carlo sampler of one family, or of the random
+generator or estimate pass that both families share, regenerates by this
+rule:
 
-* only that family's ``verify_<family>.json`` may change;
+* only that family's ``verify_<family>.json`` may change, or both of them
+  for a shared change;
 * within it, only each row's ``mc``, ``se`` and ``z`` may change, and the
   ``fourier`` column stays bit-identical;
 * every row keeps |z| <= 3 (``test_verify_rows_stay_within_3_se``);
 * the move, with max |z| before and after, is recorded in ``CHANGES.md``.
 
-``git diff --stat tests/golden`` then lists that one file.  Regeneration
+``git diff --stat tests/golden`` then lists those files only.  Regeneration
 rewrites every file, and the ``sweep`` CSVs can move in their last digits
 from one host to another (within ``RTOL``); restore those.
 """

@@ -21,23 +21,30 @@ from levyhedge import (
     transform,
     transform_batch,
 )
-from levyhedge.benchmarks import HORIZON, vg_benchmark
-from levyhedge.models import VgMeasure, VgParams, vg_model
+from levyhedge.benchmarks import HORIZON, merton_benchmark, vg_benchmark
+from levyhedge.models import (
+    MertonParams,
+    VgMeasure,
+    VgParams,
+    _mu_for_mu_s,
+    merton_model,
+    vg_model,
+)
 from levyhedge.oracle_mc import (
     McConfig,
-    McEstimate,
     McSample,
     _i2_nodes,
-    _mean_se,
     _node_index,
-    i1_from_sample,
-    i2_from_sample,
-    martingale_from_sample,
-    price_from_sample,
+    estimates_from_sample,
     simulate_log_returns,
-    tail_upper_from_sample,
 )
-from mc_reference import four_gamma_log_returns, vg_drift, vg_variance
+from mc_reference import (
+    four_gamma_log_returns,
+    merton_variance,
+    mmm_drift,
+    poisson_count_log_returns,
+    vg_variance,
+)
 from quadrature import nu_star_density
 
 FAST = McConfig(n_paths=200_000, seed=11, horizon=HORIZON)
@@ -105,13 +112,43 @@ def test_vg_sample_matches_the_four_gamma_reference(params, tau):
     new = simulate_log_returns(model, McConfig(n_paths=n, seed=1,
                                                horizon=tau)).log_returns
     ref = four_gamma_log_returns(model, tau, n, seed=2)
-    drift = vg_drift(model, tau)
+    drift = mmm_drift(model, tau)
     atoms = [np.abs(L - drift) <= 1e-15 for L in (new, ref)]
     assert ks_2samp(new[~atoms[0]], ref[~atoms[1]]).pvalue > 1e-3
     p_new, p_ref = (a.mean() for a in atoms)
     pooled = 0.5 * (p_new + p_ref)
     assert abs(p_new - p_ref) <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
     var = vg_variance(model, tau)
+    for L in (new, ref):
+        dev2 = (L - L.mean())**2
+        assert abs(dev2.mean() - var) <= 3.0 * dev2.std() / math.sqrt(n)
+
+
+_HEAVY = MertonParams(mu=0.0, sigma=0.2, gamma=3.0, m=-0.1, delta=0.15)
+HEAVY_MERTON = replace(_HEAVY, mu=_mu_for_mu_s(_HEAVY))
+
+
+@pytest.mark.parametrize("tau", [1.0 / 365.0, 0.05, 1.0], ids=["1d", "0.05", "1y"])
+@pytest.mark.parametrize("params", [merton_benchmark(), HEAVY_MERTON],
+                         ids=["benchmark", "heavy"])
+def test_merton_sample_matches_the_poisson_count_reference(params, tau):
+    # the Poisson-splitting draw against tests/mc_reference.py's one count
+    # per path, 4e5 paths each.  Benchmark jumps are rare (Lambda tau =
+    # 2.6e-4 at 0.05), so the share of paths beyond 5 diffusion SDs, nearly
+    # all of them jumps, is compared apart from the KS test; heavy jumps
+    # reach 94% of the paths at one year
+    model = to_mmm(merton_model(params))
+    n = 400_000
+    new = simulate_log_returns(model, McConfig(n_paths=n, seed=1,
+                                               horizon=tau)).log_returns
+    ref = poisson_count_log_returns(model, tau, n, seed=2)
+    assert ks_2samp(new, ref).pvalue > 1e-3
+    far = 5.0 * model.sigma * math.sqrt(tau)
+    drift = mmm_drift(model, tau)
+    p_new, p_ref = (np.mean(np.abs(L - drift) > far) for L in (new, ref))
+    pooled = 0.5 * (p_new + p_ref)
+    assert abs(p_new - p_ref) <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+    var = merton_variance(model, tau)
     for L in (new, ref):
         dev2 = (L - L.mean())**2
         assert abs(dev2.mean() - var) <= 3.0 * dev2.std() / math.sqrt(n)
@@ -173,7 +210,7 @@ def test_seed_determinism(vg_mmm):
 
 def test_generator_metadata(merton_mmm):
     s = simulate_log_returns(merton_mmm, FAST)
-    assert s.generator == "numpy.random.Philox"
+    assert s.generator == "numpy.random.SFC64"
     assert s.seed == FAST.seed
     assert s.n_paths == FAST.n_paths
 
@@ -184,33 +221,42 @@ def test_generator_metadata(merton_mmm):
 
 def test_mc_i1_at_zero_strike_is_martingale_mean(merton_mmm):
     s = simulate_log_returns(merton_mmm, FAST)
-    est = i1_from_sample(s, 1e-12)
-    assert est.value == pytest.approx(float(np.exp(s.log_returns).mean()),
-                                      rel=1e-14)
+    est = estimates_from_sample(merton_mmm, s, [1e-12])
+    assert est.strikes[0].i1.value == pytest.approx(
+        float(np.exp(s.log_returns).mean()), rel=1e-14)
 
 
 def test_mc_i1_far_otm_vanishes(merton_mmm):
-    est = i1_from_sample(simulate_log_returns(merton_mmm, FAST), 1e6)
-    assert est.value == 0.0
+    s = simulate_log_returns(merton_mmm, FAST)
+    assert estimates_from_sample(merton_mmm, s, [1e6]).strikes[0].i1.value == 0.0
 
 
 def test_martingale_estimate_is_mean_of_exp(merton_mmm):
     s = simulate_log_returns(merton_mmm, FAST)
     eL = np.exp(s.log_returns)
-    est = martingale_from_sample(s)
-    assert est == McEstimate(float(eL.mean()),
-                             float(eL.std(ddof=1) / math.sqrt(eL.size)))
+    est = estimates_from_sample(merton_mmm, s, []).martingale
+    assert est.value == pytest.approx(eL.mean(), rel=1e-14)
+    assert est.se == pytest.approx(eL.std(ddof=1) / math.sqrt(eL.size), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000, 65_537, 200_003])
-def test_mean_se_matches_numpy_bit_for_bit(n):
-    # the in-place deviations must give numpy's mean and std(ddof=1) exactly
+def test_merged_moments_match_numpy(n, bs_mmm):
+    # the moments of each slice, merged pairwise, give numpy's mean and
+    # std(ddof=1) / sqrt(n) of the whole per-path array: for e^L near 1
+    # (deviations of 1e-3), for a lognormal and for steps taken 30% of the time
     rng = np.random.default_rng(n)
-    for y in (rng.standard_normal(n) * 1e-3 + 1.0, rng.random(n) < 0.3,
-              np.exp(rng.standard_normal(n))):
-        y = np.asarray(y, dtype=float)
-        want = McEstimate(float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)))
-        assert _mean_se(y.copy()) == want
+    for scale in (1e-3, 1.0):
+        L = scale * rng.standard_normal(n)
+        chi = math.exp(0.5244 * scale)
+        sample = McSample(log_returns=L, horizon=HORIZON, seed=0, method="given")
+        est = estimates_from_sample(bs_mmm, sample, [chi])
+        at = est.strikes[0]
+        s, step = np.exp(L), (L >= math.log(chi)).astype(float)
+        for got, y in ((est.martingale, s), (at.i1, s * step),
+                       (at.tail_upper, step), (at.price, np.maximum(s - chi, 0.0))):
+            assert got.value == pytest.approx(y.mean(), rel=1e-14, abs=0.0)
+            assert got.se == pytest.approx(y.std(ddof=1) / math.sqrt(n),
+                                           rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("chi", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -218,27 +264,27 @@ def test_estimators_refuse_strikes_that_are_not_positive_and_finite(
         merton_mmm, chi):
     s = simulate_log_returns(merton_mmm, McConfig(n_paths=10_000, seed=1,
                                                   horizon=HORIZON))
-    for estimate in (i1_from_sample, tail_upper_from_sample, price_from_sample,
-                     lambda smp, c: i2_from_sample(merton_mmm, smp, c)):
-        with pytest.raises(ValueError, match="moneyness"):
-            estimate(s, chi)
+    with pytest.raises(ValueError, match="moneyness"):
+        estimates_from_sample(merton_mmm, s, [1.0, chi])
 
 
 def test_mc_i2_zero_measure():
     model = to_mmm(LevyModel(mu=-0.02, sigma=0.2, measure=ZeroMeasure()))
     s = simulate_log_returns(model, FAST)
-    est = i2_from_sample(model, s, 1.0)
+    est = estimates_from_sample(model, s, [1.0]).strikes[0].i2
     assert est.value == 0.0 and est.se == 0.0
 
 
 def test_mc_i2_small_chi_approaches_c2(vg_mmm):
-    est = i2_from_sample(vg_mmm, simulate_log_returns(vg_mmm, FAST), 1e-3)
+    s = simulate_log_returns(vg_mmm, FAST)
+    est = estimates_from_sample(vg_mmm, s, [1e-3]).strikes[0].i2
     assert abs(est.value - vg_mmm.c2) <= 3.0 * est.se + est.x_quad_err + 1e-6
 
 
 def _i2_dense(model, sample, chi):
     """Reference I2 estimator: the explicit paths-by-nodes payoff matrix
-    that ``i2_from_sample`` sums in closed form (value, SE, x_quad_err)."""
+    that ``estimates_from_sample`` sums in closed form (value, SE,
+    x_quad_err)."""
     xs, ws = _i2_nodes(model.measure)
     coef = ws * (np.exp(xs) - 1.0) * model.measure.density(xs)
     coef_h = coef.copy()
@@ -256,7 +302,7 @@ def test_i2_suffix_sums_match_dense_estimator(family, request):
     model = request.getfixturevalue(family)
     mcfg = McConfig(n_paths=20_000, seed=17, horizon=HORIZON)
     sample = simulate_log_returns(model, mcfg)
-    cases = [(sample, chi) for chi in (1e-3, 0.5, 0.9037, 1.0, 1.1891, 3.0)]
+    chis = (1e-3, 0.5, 0.9037, 1.0, 1.1891, 3.0)
     # chi = 1 with L = -x_j puts log(chi) - L exactly on node x_j (a tie
     # between the payoff kink and a node); the other paths are ordinary draws
     xs, _ = _i2_nodes(model.measure)
@@ -264,12 +310,12 @@ def test_i2_suffix_sums_match_dense_estimator(family, request):
     L[:xs.size] = -xs
     assert np.array_equal(math.log(1.0) - L[:xs.size], xs)
     tied = McSample(log_returns=L, horizon=HORIZON, seed=5, method="tied")
-    cases.append((tied, 1.0))
-    for smp, chi in cases:
-        est = i2_from_sample(model, smp, chi)
-        ref = _i2_dense(model, smp, chi)
-        for got, want in zip((est.value, est.se, est.x_quad_err), ref):
-            assert abs(got - want) <= 1e-15 + 1e-12 * abs(want), (chi, got, want)
+    for smp, strikes in ((sample, chis), (tied, (1.0,))):
+        for chi, at in zip(strikes, estimates_from_sample(model, smp, strikes).strikes):
+            est = at.i2
+            ref = _i2_dense(model, smp, chi)
+            for got, want in zip((est.value, est.se, est.x_quad_err), ref):
+                assert abs(got - want) <= 1e-15 + 1e-12 * abs(want), (chi, got, want)
 
 
 @pytest.mark.parametrize("family", ["merton_mmm", "vg_mmm", "wide_vg"])
@@ -294,8 +340,9 @@ def test_node_index_equals_searchsorted(family, request):
 @pytest.mark.parametrize("family", ["bs_mmm", "merton_mmm", "vg_mmm"])
 def test_one_worker_matches_the_pool(family, request, monkeypatch):
     # a path count that is a multiple of neither the substream count nor
-    # the estimators' chunk, so the last substream and the last chunk are
-    # ragged; the pool gets 3 workers whatever the CPU count of the host
+    # the estimate pass's slice, so the last substream and the last slice
+    # are ragged; the pool gets 2 and 3 workers whatever the CPU count of
+    # the host
     model = request.getfixturevalue(family)
     mcfg = McConfig(n_paths=100_003, seed=29, horizon=HORIZON)
     assert mcfg.n_paths % oracle_mc._N_BATCHES and mcfg.n_paths % oracle_mc._CHUNK
@@ -305,56 +352,51 @@ def test_one_worker_matches_the_pool(family, request, monkeypatch):
         monkeypatch.setattr(oracle_mc, "_WORKERS", workers)
         monkeypatch.setattr(oracle_mc, "_POOL", None)
         sample = simulate_log_returns(model, mcfg)
-        estimates = [martingale_from_sample(sample)]
-        for c in chis:
-            estimates += [i2_from_sample(model, sample, c),
-                          i1_from_sample(sample, c),
-                          tail_upper_from_sample(sample, c),
-                          price_from_sample(sample, c)]
-        return sample.log_returns, estimates
+        return sample.log_returns, estimates_from_sample(model, sample, chis)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)      # interleave the workers as much as possible
     try:
-        pooled = run(3)
+        pooled = [run(3), run(2)]
     finally:
         sys.setswitchinterval(interval)
     serial = run(1)
-    assert np.array_equal(serial[0], pooled[0])
-    assert serial[1] == pooled[1]
+    for other in pooled:
+        assert np.array_equal(serial[0], other[0])
+        assert serial[1] == other[1]
 
 
-def test_i2_memory_is_linear_in_paths(vg_mmm):
-    # a paths-by-nodes matrix would need 200000 * 640 * 8 B = 1 GB; the
-    # suffix-sum form needs a few path-length arrays (1.6 MB each)
-    sample = simulate_log_returns(vg_mmm, McConfig(n_paths=200_000, seed=2,
+def test_i2_memory_is_linear_in_paths(vg_mmm, monkeypatch):
+    # one pass computes every estimate at five strikes with no path-length
+    # array beside the sample: a paths-by-nodes I2 matrix would need
+    # 2e6 * 640 * 8 B = 10 GB and one more path-length array 16 MB, while
+    # one worker's slice arrays (about 11 of _CHUNK doubles) take 5.5 MB
+    monkeypatch.setattr(oracle_mc, "_WORKERS", 1)
+    sample = simulate_log_returns(vg_mmm, McConfig(n_paths=2_000_000, seed=2,
                                                    horizon=HORIZON))
     tracemalloc.start()
     try:
-        i2_from_sample(vg_mmm, sample, 1.0)
+        estimates_from_sample(vg_mmm, sample, [0.9, 0.95, 1.0, 1.05, 1.1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 16 * oracle_mc._CHUNK * 8 < sample.log_returns.nbytes
 
 
-def test_other_estimators_hold_one_path_length_array(vg_mmm):
-    # each fills one per-path array and squares its deviations in place;
-    # a copy of e^L, a mask or numpy's std temporary would each add one
-    sample = simulate_log_returns(vg_mmm, McConfig(n_paths=200_000, seed=2,
+def test_other_estimators_hold_one_path_length_array(bs_mmm, monkeypatch):
+    # with no jump measure there is no I2: the martingale, I1, tail and
+    # price estimates work on slices of the sample, so a copy of e^L, a mask
+    # or numpy's std temporary over the whole sample would each break this
+    monkeypatch.setattr(oracle_mc, "_WORKERS", 1)
+    sample = simulate_log_returns(bs_mmm, McConfig(n_paths=1_000_000, seed=2,
                                                    horizon=HORIZON))
-    array_bytes = sample.log_returns.nbytes
-    for estimate in (martingale_from_sample,
-                     lambda s: i1_from_sample(s, 1.0),
-                     lambda s: tail_upper_from_sample(s, 1.0),
-                     lambda s: price_from_sample(s, 1.0)):
-        tracemalloc.start()
-        try:
-            estimate(sample)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * array_bytes
+    tracemalloc.start()
+    try:
+        estimates_from_sample(bs_mmm, sample, [0.95, 1.0, 1.05])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * oracle_mc._CHUNK * 8 < sample.log_returns.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +408,13 @@ def test_fourier_inside_mc_bands(merton_mmm, phi_merton, vg_mmm, phi_vg,
                                  cfg, chi):
     for mmm, phi in ((merton_mmm, phi_merton), (vg_mmm, phi_vg)):
         s = simulate_log_returns(mmm, FAST)
-        e = i1_from_sample(s, chi)
-        assert abs(transform("i1", phi, chi, cfg).value - e.value) <= 3.0 * e.se
-        e = tail_upper_from_sample(s, chi)
-        assert abs(transform("tail", phi, chi, cfg).value - e.value) <= 3.0 * e.se
-        e = price_from_sample(s, chi)
-        assert abs(call_price(phi, 1.0, chi, cfg) - e.value) <= 3.0 * e.se
-        e2 = i2_from_sample(mmm, s, chi)
+        at = estimates_from_sample(mmm, s, [chi]).strikes[0]
+        for want, e in ((transform("i1", phi, chi, cfg).value, at.i1),
+                        (transform("tail", phi, chi, cfg).value, at.tail_upper),
+                        (call_price(phi, 1.0, chi, cfg), at.price)):
+            assert abs(want - e.value) <= 3.0 * e.se
         v2 = transform("i2", phi, chi, cfg, model=mmm).value
-        assert abs(v2 - e2.value) <= 3.0 * e2.se + e2.x_quad_err
+        assert abs(v2 - at.i2.value) <= 3.0 * at.i2.se + at.i2.x_quad_err
 
 
 @pytest.mark.parametrize("tau", [0.05, 1.0 / 365.0], ids=["0.05", "1d"])
@@ -389,8 +429,8 @@ def test_step_estimates_at_a_strike_on_the_carrier(tau):
     sample = simulate_log_returns(model, McConfig(n_paths=1_000_000, seed=7,
                                                   horizon=tau))
     res = transform_batch(("i1", "tail"), phi, [1.0], FourierConfig(), model=model)
-    for kind, est in (("i1", i1_from_sample(sample, 1.0)),
-                      ("tail", tail_upper_from_sample(sample, 1.0))):
+    at = estimates_from_sample(model, sample, [1.0]).strikes[0]
+    for kind, est in (("i1", at.i1), ("tail", at.tail_upper)):
         assert abs(res[kind][0].value - est.value) <= 3.0 * est.se, kind
 
 
